@@ -111,10 +111,6 @@ class Semibound:
 
     m: float
 
-    def is_valid_for(self, form: HermitianForm, tol=1e-10) -> bool:
-        lam_min = float(np.linalg.eigvalsh(form.G)[0])
-        return lam_min >= -self.m - tol
-
 
 @dataclass(frozen=True)
 class RepresentedOperator:

@@ -36,6 +36,9 @@ from .models import TimeDependentHamiltonian
 #: Machine scale used by the K2 "modulus is numerically zero" test.
 _EPS = float(np.finfo(float).eps)
 
+#: Smallest normal float: absolute floor of the squared K2 pair bounds.
+_TINY = float(np.finfo(float).tiny)
+
 #: Agreement tolerance between the two derivative-bound formulas.
 S2_CONSISTENCY_TOL = 1e-10
 
@@ -268,22 +271,80 @@ def _sandwiched_stack(tdh, grid, order, t0=None, allow_fd=True):
     return np.stack(mats)
 
 
-def _pairwise_spectral_distances(W):
-    """Upper-triangular matrix of spectral-norm distances between slices."""
-    N = W.shape[0]
-    dist = np.zeros((N, N))
-    pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
-    chunk = 2048
-    for start in range(0, len(pairs), chunk):
-        batch = pairs[start : start + chunk]
-        diffs = np.stack([W[i] - W[j] for i, j in batch])
-        norms = np.max(np.abs(np.linalg.eigvalsh(diffs)), axis=1)
-        for (i, j), d in zip(batch, norms):
-            dist[i, j] = d
-    return dist
+#: Pairs per batched eigensolve in the K2 branch and bound.
+_K2_CHUNK = 32
 
 
-def check_K2(tdh, grid, order=1, t0=None, allow_fd=True):
+def _frobenius_norms(rows):
+    """Euclidean norms of the rows as ``(mantissa, exponent)`` for ``np.ldexp``.
+
+    Each row is scaled by a power of two before squaring, so the squares
+    neither underflow nor overflow; an all-zero row has norm exactly 0.
+    """
+    _, exponent = np.frexp(np.max(np.abs(rows), axis=1))
+    scaled = np.ldexp(rows, -exponent[:, None])
+    return np.sqrt(np.einsum("pk,pk->p", scaled, scaled)), exponent
+
+
+def _k2_band_maxima(W, grid, thresholds, counters=None):
+    """Running maxima of ``|W_i - W_j|`` over nested separation bands.
+
+    ``thresholds`` descend; entry ``b`` of the result is the maximum spectral
+    distance over grid pairs ``i < j`` with ``t_j - t_i <= thresholds[b]``, each
+    distance being ``max |eigvalsh(W_i - W_j)|`` exactly as a full scan would
+    compute it.  Branch and bound: the Frobenius norm bounds the spectral norm
+    from above, so a pair whose bound (with a rounding margin) cannot exceed
+    the running maximum is never eigensolved.  Bounds come first from one Gram
+    product, ``|W_i - W_j|_F^2 = |W_i|^2 + |W_j|^2 - 2 Re<W_i, W_j>``, then
+    from the difference itself just before its eigensolve.  The bands are
+    walked from the finest separation outward, carrying the maximum, since
+    each level set contains the finer ones.
+    """
+    if not np.all(np.isfinite(W)):
+        raise NumericalError("K2 stack has non-finite entries")
+    N, d = W.shape[0], W.shape[1]
+    # Relative margin for the roundoff of the norms, the Gram product and the
+    # eigensolver; the absolute term covers squares that underflow.
+    slack = 16.0 * d * d * _EPS
+    flat = W.reshape(N, -1)
+    flat = np.concatenate([flat.real, flat.imag], axis=1)
+    _, exponent = np.frexp(np.max(np.abs(flat)))
+    flat = np.ldexp(flat, -exponent)
+    sq = np.einsum("ik,ik->i", flat, flat)
+    gram = flat @ flat.T
+    I, J = np.triu_indices(N, k=1)
+    scale = sq[I] + sq[J]
+    bound_sq = np.maximum(scale - 2.0 * gram[I, J], 0.0) + slack * scale + _TINY
+    bound = np.ldexp(np.sqrt(bound_sq) * (1.0 + slack), exponent)
+    # Finest band containing each pair: the last threshold not below its separation.
+    band = thresholds.size - 1 - np.searchsorted(thresholds[::-1], grid[J] - grid[I], side="left")
+
+    maxima = np.zeros(thresholds.size)
+    running = 0.0
+    exact = 0
+    for b in range(thresholds.size - 1, -1, -1):
+        members = np.flatnonzero(band == b)
+        members = members[np.argsort(-bound[members], kind="stable")]
+        for start in range(0, members.size, _K2_CHUNK):
+            chunk = members[start : start + _K2_CHUNK]
+            chunk = chunk[bound[chunk] > running]
+            if chunk.size == 0:
+                break
+            diffs = W[I[chunk]] - W[J[chunk]]
+            frob, scale_exp = _frobenius_norms(diffs.view(float).reshape(chunk.size, -1))
+            diffs = diffs[np.ldexp(frob * (1.0 + slack), scale_exp) > running]
+            if diffs.shape[0]:
+                exact += diffs.shape[0]
+                norms = np.max(np.abs(np.linalg.eigvalsh(diffs)), axis=1)
+                running = max(running, float(norms.max()))
+        maxima[b] = running
+    if counters is not None:
+        counters["k2_pairs"] = counters.get("k2_pairs", 0) + int(I.size)
+        counters["k2_exact_pairs"] = counters.get("k2_exact_pairs", 0) + exact
+    return maxima
+
+
+def check_K2(tdh, grid, order=1, t0=None, allow_fd=True, *, stack=None, counters=None):
     """Continuity moduli ``omega(delta)`` of the ``order``-th derivative.
 
     For each dyadic separation ``delta`` (full grid span halved down to twice
@@ -293,27 +354,32 @@ def check_K2(tdh, grid, order=1, t0=None, allow_fd=True):
     pairs with ``|t - t'| <= delta``.  Returns ``[(delta, omega), ...]`` with
     ``delta`` descending.  A decreasing trend toward zero is evidence (not
     proof) that the family is ``C^n``.
+
+    Each modulus is the exact maximum, found by branch and bound: a pair's
+    Frobenius norm bounds its spectral norm from above, so only pairs whose
+    bound can still beat the running maximum are eigensolved.  The cost
+    therefore scales with the pairs that survive pruning, not with all
+    ``N (N - 1) / 2`` of them.  ``stack`` is the sandwiched stack of the
+    derivative on ``grid`` when the caller already has it; ``counters``, if
+    given, is a dict that accumulates ``k2_pairs`` (pairs on the grid) and
+    ``k2_exact_pairs`` (pairs eigensolved).
     """
     grid = _check_grid(tdh, grid)
     if grid.size < 8:
         raise GridError(f"K2 audit needs >= 8 grid points, got {grid.size}")
-    W = _sandwiched_stack(tdh, grid, order, t0=t0, allow_fd=allow_fd)
-    dist = _pairwise_spectral_distances(W)
-    seps = np.abs(grid[None, :] - grid[:, None])
-
+    if stack is None:
+        W = _sandwiched_stack(tdh, grid, order, t0=t0, allow_fd=allow_fd)
+    elif np.shape(stack)[0] != grid.size:
+        raise ArgumentError(f"K2 stack has {np.shape(stack)[0]} slices for {grid.size} grid points")
+    else:
+        W = stack
     span = float(grid[-1] - grid[0])
     mean_h = span / (grid.size - 1)
     n_levels = max(1, int(math.floor(math.log2(span / (2.0 * mean_h)))) + 1)
-    moduli = []
-    upper = np.triu_indices(grid.size, k=1)
-    d_flat = dist[upper]
-    s_flat = seps[upper]
-    for j in range(n_levels):
-        delta = span / 2.0**j
-        mask = s_flat <= delta * (1.0 + 1e-12)
-        omega = float(d_flat[mask].max()) if np.any(mask) else 0.0
-        moduli.append((delta, omega))
-    return moduli
+    deltas = [span / 2.0**j for j in range(n_levels)]
+    thresholds = np.array([delta * (1.0 + 1e-12) for delta in deltas])
+    maxima = _k2_band_maxima(W, grid, thresholds, counters)
+    return [(delta, float(omega)) for delta, omega in zip(deltas, maxima)]
 
 
 def k2_verdict(moduli, reference_norm, slope_min=0.9):
@@ -375,6 +441,8 @@ class AssumptionReport:
     k2_modulus: list
     verdicts: dict
     per_t: dict = field(default_factory=dict)
+    #: Work counters of the audit; run metadata, so not part of ``to_dict``.
+    counters: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
@@ -418,19 +486,18 @@ def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9, allow_fd=True) -
     s2_direct, s2_dual = s2_profile(tdh, grid, allow_fd=allow_fd)
     s2_bound = float(s2_direct.max())
 
-    moduli = check_K2(tdh, grid, order=k2_order, t0=t_ref, allow_fd=allow_fd)
-    t_scale = tdh.scale_at(t_ref)
-    inv_sqrt = t_scale.power_matrix(-0.5)
-    ref_norms = []
-    for t in (grid[0], 0.5 * (grid[0] + grid[-1]), grid[-1]):
-        if k2_order == 0:
-            V = tdh(t)
-        elif k2_order == 1:
-            V = _time_derivative(tdh, t, allow_fd=allow_fd)
-        else:
-            V = _second_time_derivative(tdh, t, allow_fd=allow_fd)
-        S = inv_sqrt @ V @ inv_sqrt
-        ref_norms.append(hermitian_spectral_norm(0.5 * (S + S.conj().T)))
+    W = _sandwiched_stack(tdh, grid, k2_order, t0=t_ref, allow_fd=allow_fd)
+    counters = {}
+    moduli = check_K2(
+        tdh, grid, order=k2_order, t0=t_ref, allow_fd=allow_fd, stack=W, counters=counters
+    )
+    mid = 0.5 * (grid[0] + grid[-1])
+    k_mid = int(np.searchsorted(grid, mid))
+    if grid[k_mid] == mid:
+        W_mid = W[k_mid]
+    else:
+        W_mid = _sandwiched_stack(tdh, [mid], k2_order, t0=t_ref, allow_fd=allow_fd)[0]
+    ref_norms = [hermitian_spectral_norm(S) for S in (W[0], W_mid, W[-1])]
     k2_pass, k2_details = k2_verdict(moduli, max(ref_norms), slope_min=slope_min)
 
     s1_pass = bool(np.isfinite(c_norm))
@@ -444,7 +511,6 @@ def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9, allow_fd=True) -
     }
 
     # Local modulus between grid neighbours, for per-time diagnostics.
-    W = _sandwiched_stack(tdh, grid, k2_order, t0=t_ref, allow_fd=allow_fd)
     k2_local = np.zeros(grid.size)
     if grid.size > 1:
         diffs = W[1:] - W[:-1]
@@ -470,4 +536,5 @@ def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9, allow_fd=True) -
             "s2_local_alt": s2_dual,
             "k2_local": k2_local,
         },
+        counters=counters,
     )

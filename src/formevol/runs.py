@@ -16,7 +16,7 @@ import json
 import os
 import tempfile
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,6 +92,7 @@ class RunRecord:
     versions: dict
     wall_time_s: float
     outputs: list
+    counters: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
@@ -100,6 +101,7 @@ class RunRecord:
             "versions": self.versions,
             "wall_time_s": self.wall_time_s,
             "outputs": self.outputs,
+            "counters": self.counters,
         }
 
 
@@ -207,13 +209,14 @@ def _coefficient_labels(cfg, tdh, indices):
 # ---------------------------------------------------------------------------
 
 
-def _finish(cfg, outdir, outputs, seed, t_start):
+def _finish(cfg, outdir, outputs, seed, t_start, counters=None):
     record = RunRecord(
         config_hash=config_hash(cfg),
         seed=seed,
         versions=_versions(),
         wall_time_s=_time.perf_counter() - t_start,
         outputs=sorted(outputs),
+        counters=counters or {},
     )
     write_json(os.path.join(outdir, "run_record.json"), record.to_dict())
     return record
@@ -261,11 +264,11 @@ def run_audit(cfg: ExperimentConfig, outdir, grid_refine=0):
         A0 = tdh.shifted(report.t0)
         samples = rng.standard_normal((cfg.audit.rayleigh_samples, tdh.dim)) \
             + 1j * rng.standard_normal((cfg.audit.rayleigh_samples, tdh.dim))
-        denom = np.real(np.einsum("va,ab,vb->v", samples.conj(), A0, samples))
+        denom = np.real(np.einsum("va,va->v", samples.conj() @ A0, samples))
         worst = 0.0
         for t in grid[:: max(1, grid.size // 32)]:
             At = tdh.shifted(t)
-            num = np.real(np.einsum("va,ab,vb->v", samples.conj(), At, samples))
+            num = np.real(np.einsum("va,va->v", samples.conj() @ At, samples))
             worst = max(worst, float(np.max(num / denom)), float(np.max(denom / num)))
         summary["rayleigh_max_ratio"] = worst
         summary["rayleigh_within_bound"] = bool(
@@ -290,7 +293,7 @@ def run_audit(cfg: ExperimentConfig, outdir, grid_refine=0):
     outputs.append("plotdata.csv")
 
     _write_effective_config(cfg, outdir, outputs)
-    return report, _finish(cfg, outdir, outputs, cfg.audit.seed, t_start)
+    return report, _finish(cfg, outdir, outputs, cfg.audit.seed, t_start, report.counters)
 
 
 def run_propagation(cfg: ExperimentConfig, outdir, grid_refine=0):

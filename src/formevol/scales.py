@@ -85,9 +85,6 @@ class HilbertScale:
         q = np.real(np.sum(np.abs(y) ** 2 / self.eigenvalues))
         return float(np.sqrt(max(q, 0.0)))
 
-    def apply_A(self, v):
-        return self.A @ self._check_vector(v)
-
     def apply_J(self, v):
         """Duality map ``J = A^{-1}``; satisfies ``|J v|_+ = |v|_-``."""
         return self.apply_power(-1.0, v)

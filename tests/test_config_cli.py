@@ -98,7 +98,10 @@ grid_points = 33
         assert summary["s1_constant"] == pytest.approx(1.0, abs=1e-12)
         assert summary["s2_bound"] == 0.0
         assert all(v["pass"] for v in summary["verdicts"].values())
-        assert (tmp_path / "run_record.json").exists()
+        run_record = json.loads((tmp_path / "run_record.json").read_text())
+        # a constant family: every pair difference is zero, so nothing is eigensolved
+        assert run_record["counters"] == {"k2_pairs": 33 * 32 // 2, "k2_exact_pairs": 0}
+        assert "counters" not in summary
         for name in record.outputs:
             assert (tmp_path / name).exists()
         plot_rows = (tmp_path / "plotdata.csv").read_text().strip().splitlines()[1:]

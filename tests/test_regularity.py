@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formevol import (
+    ArgumentError,
     GridError,
     NumericalError,
     Semibound,
@@ -19,10 +22,12 @@ from formevol import (
     equivalence_constant,
     form_operator_norm,
     s2_profile,
+    synthetic_family,
     uniform_grid,
 )
+from formevol.regularity import _sandwiched_stack
 
-from helpers import random_hermitian
+from helpers import brute_force_k2_moduli, random_hermitian
 
 TWO_PI = 2.0 * math.pi
 
@@ -234,6 +239,123 @@ class TestCheckK2:
         tdh = constant_family(np.eye(2))
         with pytest.raises(GridError):
             check_K2(tdh, uniform_grid(0, 1, 5))
+
+
+def assert_k2_matches_brute_force(tdh, grid, order=1):
+    """Pruned moduli equal the all-pairs reference bit for bit; returns the counters."""
+    W = _sandwiched_stack(tdh, grid, order)
+    counters = {}
+    moduli = check_K2(tdh, grid, order=order, stack=W, counters=counters)
+    assert moduli == brute_force_k2_moduli(W, grid)
+    assert check_K2(tdh, grid, order=order) == moduli
+    assert counters["k2_pairs"] == grid.size * (grid.size - 1) // 2
+    assert 0 <= counters["k2_exact_pairs"] <= counters["k2_pairs"]
+    return counters
+
+
+class TestK2BranchAndBound:
+    def test_circle_shipped_grid_is_exact_and_pruned(self):
+        prof = alpha_profile("trigonometric", amplitude=1.0)
+        tdh = circle_delta_model(16, prof, TWO_PI)
+        counters = assert_k2_matches_brute_force(tdh, uniform_grid(0, TWO_PI, 257))
+        # rank-one differences: Frobenius equals spectral, so almost all pairs prune
+        assert counters["k2_exact_pairs"] < counters["k2_pairs"] // 20
+
+    def test_rotating_frame(self):
+        tdh = synthetic_family("rotating_frame", 12, 1.0, {"seed": 3})
+        assert_k2_matches_brute_force(tdh, uniform_grid(0, 1.0, 97))
+
+    def test_commuting_diagonal_needs_no_eigensolve(self):
+        tdh = synthetic_family("commuting_diagonal", 6, 1.0)
+        counters = assert_k2_matches_brute_force(tdh, uniform_grid(0, 1.0, 65))
+        assert counters["k2_exact_pairs"] == 0
+
+    @pytest.mark.parametrize("kind", ["kink", "rough_c0"])
+    def test_profiles_with_plateau(self, kind):
+        params = {"center": math.pi} if kind == "kink" else {"scale": 1.0}
+        prof = alpha_profile(kind, amplitude=1.0, **params)
+        tdh = circle_delta_model(6, prof, TWO_PI)
+        assert_k2_matches_brute_force(tdh, uniform_grid(0, TWO_PI, 129))
+
+    def test_nonuniform_refined_grid(self):
+        prof = alpha_profile("kink", center=math.pi, amplitude=1.0)
+        tdh = circle_delta_model(4, prof, TWO_PI)
+        grid = audit_grid(tdh, points=65, refine_near=(math.pi, 1.0))
+        assert_k2_matches_brute_force(tdh, grid)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_every_order(self, order):
+        prof = alpha_profile("trigonometric", amplitude=1.5, phase=0.3)
+        tdh = circle_delta_model(6, prof, TWO_PI)
+        assert_k2_matches_brute_force(tdh, uniform_grid(0, TWO_PI, 65), order=order)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        amplitude=st.floats(min_value=-3.0, max_value=3.0),
+        phase=st.floats(min_value=0.0, max_value=TWO_PI),
+    )
+    def test_circle_profile_parameters(self, amplitude, phase):
+        prof = alpha_profile("trigonometric", amplitude=amplitude, phase=phase)
+        tdh = circle_delta_model(3, prof, TWO_PI)
+        assert_k2_matches_brute_force(tdh, uniform_grid(0, TWO_PI, 33))
+
+    @pytest.mark.parametrize("factor", [1e-300, 1e150])
+    def test_norm_bounds_neither_underflow_nor_overflow(self, factor):
+        prof = alpha_profile("trigonometric", amplitude=1.0)
+        tdh = circle_delta_model(3, prof, TWO_PI)
+        grid = uniform_grid(0, TWO_PI, 33)
+        W = factor * _sandwiched_stack(tdh, grid, 1)
+        assert check_K2(tdh, grid, stack=W) == brute_force_k2_moduli(W, grid)
+
+    def test_rounding_margin_keeps_near_ties(self):
+        # A rank-one difference has Frobenius norm equal to its spectral norm,
+        # so the computed eigenvalue can exceed the computed Frobenius norm by
+        # a few ulps.  The stack puts a slightly shrunk copy D' of D in the
+        # finest band and D itself only in the coarsest, where its bound must
+        # not be pruned against the running maximum |D'|.
+        tdh = constant_family(np.eye(4))
+        grid = uniform_grid(0, 1.0, 8)
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            D = np.outer(v, v.conj())
+            for k in (1, 2, 3, 4):
+                W = np.stack([np.zeros_like(D)] + [D * (1.0 - k * 2.0**-53)] * 6 + [D])
+                assert check_K2(tdh, grid, stack=W) == brute_force_k2_moduli(W, grid)
+
+    def test_stack_must_match_grid_and_be_finite(self):
+        tdh = constant_family(np.eye(2))
+        grid = uniform_grid(0, 1.0, 9)
+        with pytest.raises(ArgumentError):
+            check_K2(tdh, grid, stack=np.zeros((8, 2, 2)))
+        stack = np.zeros((9, 2, 2))
+        stack[4, 0, 0] = np.nan  # would otherwise be pruned without a trace
+        with pytest.raises(NumericalError):
+            check_K2(tdh, grid, stack=stack)
+
+    def test_bridge_counts_and_keeps_counters_out_of_summary(self):
+        prof = alpha_profile("trigonometric", amplitude=1.0)
+        tdh = circle_delta_model(4, prof, TWO_PI)
+        grid = uniform_grid(0, TWO_PI, 33)
+        report = bridge_check(tdh, grid)
+        assert report.k2_modulus == check_K2(tdh, grid, t0=0.0)
+        assert report.counters["k2_pairs"] == 33 * 32 // 2
+        assert "counters" not in report.to_dict()
+
+    @pytest.mark.parametrize("points", [32, 33])
+    def test_bridge_reference_norm_at_the_midpoint(self, points):
+        # dH/dt = c sin(pi t) peaks at the midpoint, a node only for odd grids.
+        c = 100.0
+        tdh = TimeDependentHamiltonian(
+            2,
+            lambda t: (1.0 + c * (1.0 - math.cos(math.pi * t)) / math.pi) * np.eye(2, dtype=complex),
+            (0.0, 1.0),
+            Semibound(0.0),
+            derivative_fn=lambda t: c * math.sin(math.pi * t) * np.eye(2, dtype=complex),
+        )
+        report = bridge_check(tdh, uniform_grid(0, 1.0, points))
+        zero_floor = 10.0 * np.finfo(float).eps * c / 2.0  # |A(0)^{-1/2} c A(0)^{-1/2}|
+        assert report.verdicts["K2"]["zero_floor"] == pytest.approx(zero_floor, rel=1e-12)
 
 
 class TestBridge:
