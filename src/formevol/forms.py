@@ -54,12 +54,21 @@ def hermitize(M, rtol=HERMITICITY_RTOL, context=""):
     return H
 
 
+#: Matrices per batched LAPACK call or product over a time grid; bounds the temporaries.
+BLOCK = 32
+
+
+def blocks(n):
+    """Consecutive slices of at most :data:`BLOCK` indices covering ``range(n)``."""
+    return [slice(start, start + BLOCK) for start in range(0, n, BLOCK)]
+
+
 def hermitian_spectral_norm(M):
-    """Spectral norm of a Hermitian matrix via its eigenvalues."""
+    """Spectral norm of a Hermitian matrix, or of each slice of a ``(..., d, d)`` stack."""
     if np.size(M) == 0:
-        return 0.0
-    w = np.linalg.eigvalsh(M)
-    return float(np.max(np.abs(w)))
+        return 0.0 if np.ndim(M) == 2 else np.zeros(np.shape(M)[:-2])
+    norms = np.max(np.abs(np.linalg.eigvalsh(M)), axis=-1)
+    return float(norms) if np.ndim(M) == 2 else norms
 
 
 class HermitianForm:

@@ -166,13 +166,6 @@ class AlphaProfile:
             return abs(self.value(t0))
         return float(np.abs(self._scan(t0, t1, self.value)).max())
 
-    def sup_abs_derivative(self, t0, t1) -> float:
-        if not self.has_derivative:
-            raise ArgumentError(f"profile kind {self.kind!r} offers no derivative")
-        if self.kind == "constant":
-            return 0.0
-        return float(np.abs(self._scan(t0, t1, self.derivative)).max())
-
 
 def alpha_profile(kind, **params) -> AlphaProfile:
     """Build an :class:`AlphaProfile`; see the class docstring for kinds."""

@@ -33,7 +33,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import ArgumentError, GridError
-from .forms import hermitian_spectral_norm, hermitize
+from .forms import blocks, hermitian_spectral_norm, hermitize
 from .models import TimeDependentHamiltonian
 from .scales import HilbertScale
 
@@ -125,9 +125,9 @@ def _finish_table(s, times, mats, method, params):
     U = np.stack(mats)
     defects = np.empty(U.shape[0])
     eye = np.eye(U.shape[-1])
-    for j in range(U.shape[0]):
-        G = U[j].conj().T @ U[j] - eye
-        defects[j] = hermitian_spectral_norm(0.5 * (G + G.conj().T))
+    for block in blocks(U.shape[0]):
+        G = U[block].conj().swapaxes(-1, -2) @ U[block] - eye
+        defects[block] = hermitian_spectral_norm(0.5 * (G + G.conj().swapaxes(-1, -2)))
     return PropagatorTable(
         s=float(s),
         times=times,

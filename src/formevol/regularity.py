@@ -16,9 +16,10 @@ exist for a family ``H(t)`` with a fixed form domain:
   smoothness; the moduli are numerical evidence, reported with explicit
   thresholds, never a proof.
 
-Grid points are independent and may be evaluated in any order; reports are
-assembled sorted by time, so results are deterministic regardless of
-evaluation order.
+The grid is evaluated in fixed blocks of points (:data:`forms.BLOCK`): each
+block is stacked and goes through batched LAPACK calls and products, which
+treat every slice exactly as a one-point call would, while the block bounds
+the temporaries.  Reports are sorted by time.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ArgumentError, GridError, NotPositiveDefiniteError, NumericalError
-from .forms import hermitian_spectral_norm, hermitize
+from .forms import blocks, hermitian_spectral_norm, hermitize
 from .models import TimeDependentHamiltonian
 
 #: Machine scale used by the K2 "modulus is numerically zero" test.
@@ -64,14 +65,9 @@ def audit_grid(tdh, points=DEFAULT_GRID_POINTS, refine_near=(), levels=5) -> np.
     grid = uniform_grid(t0, t1, points)
     if refine_near:
         h = (t1 - t0) / (points - 1)
-        extra = []
-        for t_star in refine_near:
-            for j in range(1, levels + 1):
-                for sgn in (-1.0, 1.0):
-                    t = t_star + sgn * h / 2.0**j
-                    if t0 <= t <= t1:
-                        extra.append(t)
-        grid = np.unique(np.concatenate([grid, np.asarray(extra)]))
+        offsets = h / 2.0 ** np.arange(1, levels + 1)
+        extra = np.add.outer(refine_near, np.concatenate([-offsets, offsets]))
+        grid = np.unique(np.concatenate([grid, extra[(extra >= t0) & (extra <= t1)]]))
     return grid
 
 
@@ -135,36 +131,47 @@ def _fd_derivative(tdh, t, h):
     return hermitize(D, rtol=np.inf)
 
 
-def _time_derivative(tdh, t, h=None, allow_fd=True):
-    D = tdh.derivative(t)
-    if D is not None:
-        return D
+def _derivative_stack(tdh, grid, order, h=None, allow_fd=True):
+    """``d^n H / dt^n``, ``n = order`` in 0..2, at every grid time, stacked.
+
+    Without an analytic derivative, and with ``allow_fd``, the first falls
+    back to :func:`_fd_derivative`, the second to a central difference of step
+    ``h`` (default ``span * 1e-4``) at the time clamped into ``[t0 + h, t1 - h]``,
+    on the analytic first derivative when there is one.
+    """
+    if order not in (0, 1, 2):
+        raise ArgumentError(f"derivative order must be 0, 1 or 2, got {order}")
+    if (True, tdh.has_derivative, tdh.has_second_derivative)[order]:
+        evaluate = (tdh, tdh.derivative, tdh.second_derivative)[order]
+        return np.stack([evaluate(t) for t in grid])
     if not allow_fd:
         raise ArgumentError(
-            "analytic derivative unavailable and finite differences disabled"
-        )
-    span = tdh.t_span[1] - tdh.t_span[0]
-    return _fd_derivative(tdh, t, span * 1e-4 if h is None else h)
-
-
-def _second_time_derivative(tdh, t, h=None, allow_fd=True):
-    D2 = tdh.second_derivative(t)
-    if D2 is not None:
-        return D2
-    if not allow_fd:
-        raise ArgumentError(
-            "analytic second derivative unavailable and finite differences disabled"
+            f"analytic {'second ' if order == 2 else ''}derivative unavailable "
+            "and finite differences disabled"
         )
     t0, t1 = tdh.t_span
     h = (t1 - t0) * 1e-4 if h is None else h
+    if order == 1:
+        return np.stack([_fd_derivative(tdh, t, h) for t in grid])
+    tc = np.clip(grid, t0 + h, t1 - h)
     if tdh.has_derivative:
-        # One difference level on the analytic first derivative.
-        tc = min(max(t, t0 + h), t1 - h)
-        D2 = (tdh.derivative(tc + h) - tdh.derivative(tc - h)) / (2.0 * h)
+        D2 = (_derivative_stack(tdh, tc + h, 1) - _derivative_stack(tdh, tc - h, 1)) / (2.0 * h)
     else:
-        tc = min(max(t, t0 + h), t1 - h)
-        D2 = (tdh(tc + h) - 2.0 * tdh(tc) + tdh(tc - h)) / (h * h)
-    return hermitize(D2, rtol=np.inf)
+        H = [_derivative_stack(tdh, t, 0) for t in (tc + h, tc, tc - h)]
+        D2 = (H[0] - 2.0 * H[1] + H[2]) / (h * h)
+    return 0.5 * (D2 + D2.conj().swapaxes(-1, -2))
+
+
+def _shifted_stack(tdh, grid):
+    """``A(t) = H(t) + (m + 1) I`` at every grid time, stacked."""
+    return _derivative_stack(tdh, grid, 0) + (tdh.semibound.m + 1.0) * np.eye(tdh.dim)
+
+
+def _require_positive(lowest, times):
+    """Raise at the first time whose shifted form is not positive definite."""
+    bad = np.flatnonzero(lowest <= 0.0)
+    if bad.size:
+        raise NotPositiveDefiniteError(lowest[bad[0]], context=f"A({times[bad[0]]})")
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +184,17 @@ def s1_pencil_profile(tdh, grid, t0=None):
     grid = _check_grid(tdh, grid)
     t_ref = tdh.t_span[0] if t0 is None else float(t0)
     A0 = tdh.shifted(t_ref)
-    floor = float(np.linalg.eigvalsh(A0)[0])
-    if floor <= 0.0:
-        raise NotPositiveDefiniteError(floor, context=f"A({t_ref})")
-    lo = np.empty(grid.size)
-    hi = np.empty(grid.size)
-    for j, t in enumerate(grid):
-        w = scipy.linalg.eigh(tdh.shifted(t), A0, eigvals_only=True)
-        if w[0] <= 0.0:
-            raise NotPositiveDefiniteError(w[0], context=f"A({t})")
-        lo[j], hi[j] = w[0], w[-1]
+    _require_positive(np.linalg.eigvalsh(A0)[:1], [t_ref])
+    return _pencil_extremes(tdh, grid, A0)
+
+
+def _pencil_extremes(tdh, grid, A_ref):
+    """Smallest and largest eigenvalues of the pencil ``(A(t), A_ref)`` on the grid."""
+    lo, hi = np.empty((2, grid.size))
+    for block in blocks(grid.size):
+        w = scipy.linalg.eigh(_shifted_stack(tdh, grid[block]), A_ref, eigvals_only=True)
+        _require_positive(w[:, 0], grid[block])
+        lo[block], hi[block] = w[:, 0], w[:, -1]
     return lo, hi
 
 
@@ -216,28 +224,28 @@ def s2_profile(tdh, grid, fd_step=None, allow_fd=True):
     to :data:`S2_CONSISTENCY_TOL`; disagreement raises ``NumericalError``.
     """
     grid = _check_grid(tdh, grid)
-    direct = np.empty(grid.size)
-    dual = np.empty(grid.size)
-    for j, t in enumerate(grid):
-        Hdot = _time_derivative(tdh, t, h=fd_step, allow_fd=allow_fd)
-        A = tdh.shifted(t)
-        w, Q = np.linalg.eigh(A)
-        if w[0] <= 0.0:
-            raise NotPositiveDefiniteError(w[0], context=f"A({t})")
-        inv_sqrt = (Q * (1.0 / np.sqrt(w))) @ Q.conj().T
+    direct, dual = np.empty((2, grid.size))
+    for block in blocks(grid.size):
+        Hdot = _derivative_stack(tdh, grid[block], 1, h=fd_step, allow_fd=allow_fd)
+        w, Q = np.linalg.eigh(_shifted_stack(tdh, grid[block]))
+        _require_positive(w[:, 0], grid[block])
+        w, Qh = w[:, None, :], Q.conj().swapaxes(-1, -2)
+        inv_sqrt = (Q * (1.0 / np.sqrt(w))) @ Qh
         S = inv_sqrt @ Hdot @ inv_sqrt
-        direct[j] = hermitian_spectral_norm(0.5 * (S + S.conj().T))
+        direct[block] = hermitian_spectral_norm(0.5 * (S + S.conj().swapaxes(-1, -2)))
 
-        inv = (Q * (1.0 / w)) @ Q.conj().T
-        sqrtA = (Q * np.sqrt(w)) @ Q.conj().T
+        inv = (Q * (1.0 / w)) @ Qh
+        sqrtA = (Q * np.sqrt(w)) @ Qh
         B = -inv @ Hdot @ inv
         S2 = sqrtA @ B @ sqrtA
-        dual[j] = hermitian_spectral_norm(0.5 * (S2 + S2.conj().T))
-        if abs(direct[j] - dual[j]) > S2_CONSISTENCY_TOL * max(1.0, direct[j]):
-            raise NumericalError(
-                f"derivative-bound formulas disagree at t = {t}: "
-                f"{direct[j]:.15e} vs {dual[j]:.15e}"
-            )
+        dual[block] = hermitian_spectral_norm(0.5 * (S2 + S2.conj().swapaxes(-1, -2)))
+    bad = np.flatnonzero(np.abs(direct - dual) > S2_CONSISTENCY_TOL * np.maximum(1.0, direct))
+    if bad.size:
+        j = bad[0]
+        raise NumericalError(
+            f"derivative-bound formulas disagree at t = {grid[j]}: "
+            f"{direct[j]:.15e} vs {dual[j]:.15e}"
+        )
     return direct, dual
 
 
@@ -254,21 +262,12 @@ def check_S2(tdh, grid, fd_step=None, allow_fd=True) -> float:
 
 def _sandwiched_stack(tdh, grid, order, t0=None, allow_fd=True):
     t_ref = tdh.t_span[0] if t0 is None else float(t0)
-    scale0 = tdh.scale_at(t_ref)
-    inv_sqrt = scale0.power_matrix(-0.5)
-    mats = []
-    for t in grid:
-        if order == 0:
-            V = tdh(t)
-        elif order == 1:
-            V = _time_derivative(tdh, t, allow_fd=allow_fd)
-        elif order == 2:
-            V = _second_time_derivative(tdh, t, allow_fd=allow_fd)
-        else:
-            raise ArgumentError(f"K2 order must be 0, 1 or 2, got {order}")
-        S = inv_sqrt @ V @ inv_sqrt
-        mats.append(0.5 * (S + S.conj().T))
-    return np.stack(mats)
+    inv_sqrt = tdh.scale_at(t_ref).power_matrix(-0.5)
+    W = np.empty((grid.size, tdh.dim, tdh.dim), dtype=complex)
+    for block in blocks(grid.size):
+        S = inv_sqrt @ _derivative_stack(tdh, grid[block], order, allow_fd=allow_fd) @ inv_sqrt
+        W[block] = 0.5 * (S + S.conj().swapaxes(-1, -2))
+    return W
 
 
 #: Pairs per batched eigensolve in the K2 branch and bound.
@@ -308,8 +307,9 @@ def _k2_band_maxima(W, grid, thresholds, counters=None):
     slack = 16.0 * d * d * _EPS
     flat = W.reshape(N, -1)
     flat = np.concatenate([flat.real, flat.imag], axis=1)
-    _, exponent = np.frexp(np.max(np.abs(flat)))
-    flat = np.ldexp(flat, -exponent)
+    # Scaled in place and without an abs() copy: the largest array of an audit.
+    _, exponent = np.frexp(max(flat.max(), -flat.min()))
+    np.ldexp(flat, -exponent, out=flat)
     sq = np.einsum("ik,ik->i", flat, flat)
     gram = flat @ flat.T
     I, J = np.triu_indices(N, k=1)
@@ -335,8 +335,7 @@ def _k2_band_maxima(W, grid, thresholds, counters=None):
             diffs = diffs[np.ldexp(frob * (1.0 + slack), scale_exp) > running]
             if diffs.shape[0]:
                 exact += diffs.shape[0]
-                norms = np.max(np.abs(np.linalg.eigvalsh(diffs)), axis=1)
-                running = max(running, float(norms.max()))
+                running = max(running, float(hermitian_spectral_norm(diffs).max()))
         maxima[b] = running
     if counters is not None:
         counters["k2_pairs"] = counters.get("k2_pairs", 0) + int(I.size)
@@ -476,12 +475,8 @@ def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9, allow_fd=True) -
 
     # Same pencil against A(t0) + I: reference quadratic form with an extra
     # ambient-norm term folded in.
-    A0u = tdh.shifted(t_ref) + np.eye(tdh.dim)
-    hi_u, lo_u = 0.0, np.inf
-    for t in grid:
-        w = scipy.linalg.eigh(tdh.shifted(t), A0u, eigvals_only=True)
-        lo_u, hi_u = min(lo_u, w[0]), max(hi_u, w[-1])
-    c_unit = float(np.sqrt(max(hi_u, 1.0 / lo_u)))
+    lo_u, hi_u = _pencil_extremes(tdh, grid, tdh.shifted(t_ref) + np.eye(tdh.dim))
+    c_unit = float(np.sqrt(max(hi_u.max(), 1.0 / lo_u.min())))
 
     s2_direct, s2_dual = s2_profile(tdh, grid, allow_fd=allow_fd)
     s2_bound = float(s2_direct.max())
@@ -496,7 +491,7 @@ def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9, allow_fd=True) -
     if grid[k_mid] == mid:
         W_mid = W[k_mid]
     else:
-        W_mid = _sandwiched_stack(tdh, [mid], k2_order, t0=t_ref, allow_fd=allow_fd)[0]
+        W_mid = _sandwiched_stack(tdh, np.array([mid]), k2_order, t0=t_ref, allow_fd=allow_fd)[0]
     ref_norms = [hermitian_spectral_norm(S) for S in (W[0], W_mid, W[-1])]
     k2_pass, k2_details = k2_verdict(moduli, max(ref_norms), slope_min=slope_min)
 
@@ -512,11 +507,11 @@ def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9, allow_fd=True) -
 
     # Local modulus between grid neighbours, for per-time diagnostics.
     k2_local = np.zeros(grid.size)
-    if grid.size > 1:
-        diffs = W[1:] - W[:-1]
-        k2_local[1:] = np.max(np.abs(np.linalg.eigvalsh(diffs)), axis=1)
+    k2_local[1:] = hermitian_spectral_norm(W[1:] - W[:-1])
 
-    lambda_min = np.array([float(np.linalg.eigvalsh(tdh(t))[0]) for t in grid])
+    lambda_min = np.empty(grid.size)
+    for block in blocks(grid.size):
+        lambda_min[block] = np.linalg.eigvalsh(_derivative_stack(tdh, grid[block], 0))[:, 0]
 
     return AssumptionReport(
         grid=grid,

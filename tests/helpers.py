@@ -3,8 +3,11 @@
 import math
 
 import numpy as np
+import scipy.linalg
 
 from formevol import HilbertScale, Semibound, build_scale
+from formevol.forms import hermitian_spectral_norm, hermitize
+from formevol.regularity import _fd_derivative
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -56,3 +59,99 @@ def brute_force_k2_moduli(W, grid):
         omega = float(d_flat[mask].max()) if np.any(mask) else 0.0
         moduli.append((delta, omega))
     return moduli
+
+
+# ---------------------------------------------------------------------------
+# Per-point reference loops of the audit and of the table defects.  The
+# library evaluates the time grid in blocks with batched LAPACK calls and
+# products; these loops are the one-matrix-at-a-time originals it must match
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_derivative(tdh, t, order):
+    """``d^n H/dt^n`` at one time, analytic if offered, else finite differences."""
+    if order == 0:
+        return tdh(t)
+    t0, t1 = tdh.t_span
+    h = (t1 - t0) * 1e-4
+    if order == 1:
+        D = tdh.derivative(t)
+        return _fd_derivative(tdh, t, h) if D is None else D
+    D2 = tdh.second_derivative(t)
+    if D2 is not None:
+        return D2
+    tc = min(max(t, t0 + h), t1 - h)
+    if tdh.has_derivative:
+        D2 = (tdh.derivative(tc + h) - tdh.derivative(tc - h)) / (2.0 * h)
+    else:
+        D2 = (tdh(tc + h) - 2.0 * tdh(tc) + tdh(tc - h)) / (h * h)
+    return hermitize(D2, rtol=np.inf)
+
+
+def reference_pencil_extremes(tdh, grid, A_ref):
+    lo = np.empty(grid.size)
+    hi = np.empty(grid.size)
+    for j, t in enumerate(grid):
+        w = scipy.linalg.eigh(tdh.shifted(t), A_ref, eigvals_only=True)
+        lo[j], hi[j] = w[0], w[-1]
+    return lo, hi
+
+
+def reference_s2_profile(tdh, grid):
+    direct = np.empty(grid.size)
+    dual = np.empty(grid.size)
+    for j, t in enumerate(grid):
+        Hdot = reference_derivative(tdh, t, 1)
+        w, Q = np.linalg.eigh(tdh.shifted(t))
+        inv_sqrt = (Q * (1.0 / np.sqrt(w))) @ Q.conj().T
+        S = inv_sqrt @ Hdot @ inv_sqrt
+        direct[j] = hermitian_spectral_norm(0.5 * (S + S.conj().T))
+        inv = (Q * (1.0 / w)) @ Q.conj().T
+        sqrtA = (Q * np.sqrt(w)) @ Q.conj().T
+        S2 = sqrtA @ (-inv @ Hdot @ inv) @ sqrtA
+        dual[j] = hermitian_spectral_norm(0.5 * (S2 + S2.conj().T))
+    return direct, dual
+
+
+def reference_sandwiched_stack(tdh, grid, order, t0=None):
+    t_ref = tdh.t_span[0] if t0 is None else float(t0)
+    inv_sqrt = tdh.scale_at(t_ref).power_matrix(-0.5)
+    mats = []
+    for t in grid:
+        S = inv_sqrt @ reference_derivative(tdh, t, order) @ inv_sqrt
+        mats.append(0.5 * (S + S.conj().T))
+    return np.stack(mats)
+
+
+def reference_audit_profiles(tdh, grid, order, t0=None):
+    """Per-time audit profiles, one grid point at a time."""
+    t_ref = tdh.t_span[0] if t0 is None else float(t0)
+    A0 = tdh.shifted(t_ref)
+    lo, hi = reference_pencil_extremes(tdh, grid, A0)
+    lo_u, hi_u = reference_pencil_extremes(tdh, grid, A0 + np.eye(tdh.dim))
+    direct, dual = reference_s2_profile(tdh, grid)
+    W = reference_sandwiched_stack(tdh, grid, order, t_ref)
+    k2_local = np.zeros(grid.size)
+    for j in range(1, grid.size):
+        k2_local[j] = np.max(np.abs(np.linalg.eigvalsh(W[j] - W[j - 1])))
+    return {
+        "pencil_min": lo,
+        "pencil_max": hi,
+        "unit_shift_min": lo_u,
+        "unit_shift_max": hi_u,
+        "s2_local": direct,
+        "s2_local_alt": dual,
+        "W": W,
+        "lambda_min": np.array([float(np.linalg.eigvalsh(tdh(t))[0]) for t in grid]),
+        "k2_local": k2_local,
+    }
+
+
+def reference_unitarity_defects(U):
+    eye = np.eye(U.shape[-1])
+    defects = np.empty(U.shape[0])
+    for j in range(U.shape[0]):
+        G = U[j].conj().T @ U[j] - eye
+        defects[j] = hermitian_spectral_norm(0.5 * (G + G.conj().T))
+    return defects

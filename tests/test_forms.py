@@ -14,6 +14,7 @@ from formevol import (
     represent_form,
     semibound_of,
 )
+from formevol.forms import hermitian_spectral_norm
 from formevol.models import CircleDeltaModel, alpha_profile
 
 from helpers import random_hermitian, random_unit_vector
@@ -158,3 +159,19 @@ class TestFormOperatorNorm:
         with pytest.raises(NotPositiveDefiniteError) as err:
             form_operator_norm(np.eye(2), np.diag([1.0, -2.0]))
         assert err.value.lambda_min == pytest.approx(-2.0)
+
+
+class TestHermitianSpectralNorm:
+    def test_stack_gives_the_norm_of_every_slice(self):
+        rng = np.random.default_rng(8)
+        stack = np.stack([random_hermitian(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+        norms = hermitian_spectral_norm(stack)
+        assert norms.shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            single = hermitian_spectral_norm(stack[index])
+            assert isinstance(single, float)
+            assert norms[index] == single
+
+    def test_empty_inputs(self):
+        assert hermitian_spectral_norm(np.zeros((0, 0))) == 0.0
+        assert hermitian_spectral_norm(np.zeros((0, 4, 4))).shape == (0,)

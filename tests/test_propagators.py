@@ -23,7 +23,7 @@ from formevol import (
     yosida_operator,
 )
 
-from helpers import random_hermitian
+from helpers import random_hermitian, reference_unitarity_defects
 
 TWO_PI = 2.0 * math.pi
 
@@ -423,3 +423,19 @@ class TestYosidaConvergence:
         tdh = constant_family(np.eye(2))
         with pytest.raises(ArgumentError):
             yosida_convergence_study(tdh, [8, 4], np.array([1.0, 0.0]), 0.0, 1.0)
+
+
+class TestUnitarityDefects:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda tdh: reference_propagator(tdh, 0.0, 1.0, 40),
+            lambda tdh: reference_propagator(tdh, 0.0, 1.0, 33, scheme="magnus4"),
+            lambda tdh: dyson_propagator(tdh, 0.0, 1.0, 2, 70),
+        ],
+    )
+    def test_batched_defects_match_per_entry_loop(self, build):
+        prof = alpha_profile("trigonometric", amplitude=1.0)
+        table = build(circle_delta_model(3, prof, TWO_PI))
+        defects = table.diagnostics["unitarity_defect"]
+        assert np.array_equal(defects, reference_unitarity_defects(table.matrices))

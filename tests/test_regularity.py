@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from formevol import (
     ArgumentError,
     GridError,
+    NotPositiveDefiniteError,
     NumericalError,
     Semibound,
     TimeDependentHamiltonian,
@@ -21,13 +23,14 @@ from formevol import (
     differentiate_form,
     equivalence_constant,
     form_operator_norm,
+    s1_pencil_profile,
     s2_profile,
     synthetic_family,
     uniform_grid,
 )
-from formevol.regularity import _sandwiched_stack
+from formevol.regularity import _pencil_extremes, _sandwiched_stack
 
-from helpers import brute_force_k2_moduli, random_hermitian
+from helpers import brute_force_k2_moduli, random_hermitian, reference_audit_profiles
 
 TWO_PI = 2.0 * math.pi
 
@@ -415,3 +418,95 @@ class TestGrids:
         tdh = constant_family(np.eye(2))
         with pytest.raises(GridError):
             check_S1(tdh, np.array([0.0, 2.0]))
+
+
+def _circle(K, kind, T=TWO_PI, **params):
+    return lambda: circle_delta_model(K, alpha_profile(kind, **params), T)
+
+
+#: Audited families: (builder, K2 order, reference time).  Together they take
+#: every derivative path: analytic, finite differences of H (table, order 1),
+#: of the analytic first derivative (rough_c0, order 2), and none (order 0).
+BATCHED_FAMILIES = {
+    "circle_sin": (_circle(5, "trigonometric", amplitude=1.3, phase=0.2), 1, None),
+    "kink": (_circle(4, "kink", center=math.pi), 1, None),
+    "table": (
+        _circle(3, "table", times=[0.0, 1.0, 2.5, TWO_PI], values=[0.0, 1.5, -0.5, 0.3]), 1, None
+    ),
+    "polynomial": (_circle(4, "polynomial", T=3.0, coeffs=[0.5, -1.0, 0.3, 0.05]), 2, None),
+    "rough_c0": (_circle(4, "rough_c0", scale=1.0), 2, None),
+    "rotating_frame": (lambda: synthetic_family("rotating_frame", 6, 1.0, {"seed": 2}), 0, 0.25),
+    "commuting_diagonal": (lambda: synthetic_family("commuting_diagonal", 5, 1.0), 1, None),
+}
+
+
+class TestBatchedGrid:
+    """Blocked, batched grid evaluation equals the per-point loops bit for bit."""
+
+    @pytest.mark.parametrize("grid_kind", ["uniform_45", "uniform_70", "refined"])
+    @pytest.mark.parametrize("family", sorted(BATCHED_FAMILIES))
+    def test_profiles_match_per_point_reference(self, family, grid_kind):
+        build, order, t0 = BATCHED_FAMILIES[family]
+        tdh = build()
+        start, stop = tdh.t_span
+        if grid_kind == "refined":
+            # 33 uniform points plus 10 refinements: no multiple of the block size
+            grid = audit_grid(tdh, points=33, refine_near=(start + 0.3 * (stop - start),))
+            assert grid.size == 43
+        else:
+            grid = uniform_grid(start, stop, int(grid_kind.split("_")[1]))
+        ref = reference_audit_profiles(tdh, grid, order, t0)
+        report = bridge_check(tdh, grid, t0=t0, k2_order=order)
+        keys = ("pencil_min", "pencil_max", "s2_local", "s2_local_alt", "lambda_min", "k2_local")
+        for key in keys:
+            assert np.array_equal(report.per_t[key], ref[key]), key
+        A_unit = tdh.shifted(report.t0) + np.eye(tdh.dim)
+        lo_u, hi_u = _pencil_extremes(tdh, grid, A_unit)
+        assert np.array_equal(lo_u, ref["unit_shift_min"])
+        assert np.array_equal(hi_u, ref["unit_shift_max"])
+        assert report.s1_constant_unit_shift == float(np.sqrt(max(hi_u.max(), 1.0 / lo_u.min())))
+        assert np.array_equal(_sandwiched_stack(tdh, grid, order, t0=report.t0), ref["W"])
+
+    def test_bridge_check_memory_stays_bounded(self):
+        # Grid points are processed in blocks, so temporaries do not grow with
+        # the grid; the peak is the K2 stack and its pair bookkeeping.
+        tdh = circle_delta_model(16, alpha_profile("trigonometric", amplitude=1.0), TWO_PI)
+        grid = uniform_grid(0, TWO_PI, 257)
+        tracemalloc.start()
+        try:
+            bridge_check(tdh, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+def failing_semibound_family():
+    """``A(t) = (2 - 3t) I``: the claimed semibound 0 fails from ``t = 2/3`` on."""
+    return TimeDependentHamiltonian(
+        2,
+        lambda t: (1.0 - 3.0 * t) * np.eye(2, dtype=complex),
+        (0.0, 1.0),
+        Semibound(0.0),
+        derivative_fn=lambda t: -3.0 * np.eye(2, dtype=complex),
+    )
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("audit", [s1_pencil_profile, s2_profile, bridge_check])
+    def test_failed_semibound_names_first_failing_time(self, audit):
+        grid = uniform_grid(0.0, 1.0, 81)
+        first = np.flatnonzero(2.0 - 3.0 * grid <= 0.0)[0]
+        assert first == 54  # in the second block, with failures after it
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            audit(failing_semibound_family(), grid)
+        assert f"(A({grid[first]}))" in str(info.value)
+        assert info.value.lambda_min < 0.0
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_table_profile_without_finite_differences(self, order):
+        prof = alpha_profile("table", times=[0.0, 1.0], values=[0.0, 1.0])
+        tdh = circle_delta_model(2, prof, 1.0)
+        message = "derivative unavailable and finite differences disabled"
+        with pytest.raises(ArgumentError, match=message):
+            check_K2(tdh, uniform_grid(0, 1, 9), order=order, allow_fd=False)
