@@ -184,9 +184,6 @@ class SectionView:
                 return v
         raise AttributeError(f"{self.name} has no key {key!r}")
 
-    def as_dict(self):
-        return dict(self.values)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:

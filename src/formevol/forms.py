@@ -31,27 +31,25 @@ from .errors import (
 HERMITICITY_RTOL = 1e-13
 
 
-def _as_square_matrix(M, name="matrix"):
-    A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ArgumentError(f"{name} must be square, got shape {A.shape}")
-    return A
-
-
 def hermitize(M, rtol=HERMITICITY_RTOL, context=""):
-    """Return the Hermitian part of ``M`` after checking the asymmetry.
+    """Return the Hermitian part of ``M``, or of each slice of a ``(..., d, d)`` stack.
 
     Raises :class:`NotHermitianError` if ``max |M - M*|`` exceeds
-    ``rtol * max|M|``.
+    ``rtol * max(max|M|, 1)``, slice by slice; for a stack, ``context`` may be
+    a callable mapping the flat index of the first failing slice to its label.
     """
-    A = _as_square_matrix(M, context or "matrix")
-    asym = np.max(np.abs(A - A.conj().T)) if A.size else 0.0
-    scale = np.max(np.abs(A)) if A.size else 0.0
-    tol = rtol * max(scale, 1.0)
-    if asym > tol:
-        raise NotHermitianError(asym, tol, context)
-    H = 0.5 * (A + A.conj().T)
-    return H
+    A = np.asarray(M, dtype=complex)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ArgumentError(f"{context or 'matrix'} must be square, got shape {A.shape}")
+    Ah = A.conj().swapaxes(-1, -2)
+    asym = np.max(np.abs(A - Ah), axis=(-2, -1), initial=0.0)
+    tol = rtol * np.maximum(np.max(np.abs(A), axis=(-2, -1), initial=0.0), 1.0)
+    bad = np.flatnonzero(asym > tol)
+    if bad.size:
+        j = bad[0]
+        label = context(j) if callable(context) else context
+        raise NotHermitianError(asym.flat[j], tol.flat[j], label)
+    return 0.5 * (A + Ah)
 
 
 #: Matrices per batched LAPACK call or product over a time grid; bounds the temporaries.

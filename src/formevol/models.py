@@ -176,9 +176,9 @@ class TimeDependentHamiltonian:
     """A family ``t -> H(t)`` of Hermitian matrices on ``[t0, t1]``.
 
     ``semibound`` must be uniform: ``lambda_min(H(t)) >= -m`` for all ``t``
-    in the span.  Calling the object evaluates ``H(t)`` (checked Hermitian
-    and symmetrized); ``derivative`` returns the analytic ``dH/dt`` when one
-    was supplied, else ``None``.
+    in the span.  :meth:`stack` evaluates ``H`` or an analytic derivative on
+    a time grid; calling the object, ``derivative`` and ``second_derivative``
+    are its one-time slices.
 
     The evaluation callables must be pure; instances carry no mutable state,
     so they are safe for concurrent use.
@@ -207,11 +207,30 @@ class TimeDependentHamiltonian:
         self._derivative_fn = derivative_fn
         self._second_derivative_fn = second_derivative_fn
 
+    def stack(self, times, order=0):
+        """``d^n H/dt^n``, ``n = order`` in 0..2, at each of ``times``, stacked ``(N, d, d)``.
+
+        Slices come from the per-time callable; the stack is checked Hermitian
+        slice by slice (errors name the first failing time) and symmetrized.
+        ``None`` when that derivative was not supplied.
+        """
+        if order not in (0, 1, 2):
+            raise ArgumentError(f"derivative order must be 0, 1 or 2, got {order}")
+        fn = (self._matrix_fn, self._derivative_fn, self._second_derivative_fn)[order]
+        if fn is None:
+            return None
+        name = ("H", "dH/dt", "d2H/dt2")[order]
+        times, shape = np.asarray(times, dtype=float), (self.dim, self.dim)
+        out = np.empty((times.size, *shape), dtype=complex)
+        for j, t in enumerate(times):
+            M = fn(t)
+            if np.shape(M) != shape:
+                raise ArgumentError(f"{name}({t}) has shape {np.shape(M)}, expected {shape}")
+            out[j] = M
+        return hermitize(out, rtol=1e-12, context=lambda j: f"{name}({times[j]})")
+
     def __call__(self, t):
-        H = hermitize(self._matrix_fn(t), rtol=1e-12, context=f"H({t})")
-        if H.shape != (self.dim, self.dim):
-            raise ArgumentError(f"H({t}) has shape {H.shape}, expected {(self.dim, self.dim)}")
-        return H
+        return self.stack([t])[0]
 
     @property
     def has_derivative(self) -> bool:
@@ -222,14 +241,10 @@ class TimeDependentHamiltonian:
         return self._second_derivative_fn is not None
 
     def derivative(self, t):
-        if self._derivative_fn is None:
-            return None
-        return hermitize(self._derivative_fn(t), rtol=1e-12, context=f"dH/dt({t})")
+        return None if self._derivative_fn is None else self.stack([t], 1)[0]
 
     def second_derivative(self, t):
-        if self._second_derivative_fn is None:
-            return None
-        return hermitize(self._second_derivative_fn(t), rtol=1e-12, context=f"d2H/dt2({t})")
+        return None if self._second_derivative_fn is None else self.stack([t], 2)[0]
 
     def shifted(self, t):
         """The scale operator ``A(t) = H(t) + (m + 1) I`` at time ``t``."""
@@ -275,6 +290,9 @@ class CircleDeltaModel:
             )
         if not self.T > 0:
             raise ArgumentError(f"T must be positive, got {self.T}")
+        # The fixed parts of H(t), built once: diag(k^2) and the all-ones matrix.
+        object.__setattr__(self, "_kinetic", np.diag(self.mode_numbers**2.0).astype(complex))
+        object.__setattr__(self, "_ones", np.ones((self.dim, self.dim), dtype=complex))
 
     @property
     def dim(self) -> int:
@@ -285,22 +303,17 @@ class CircleDeltaModel:
         return np.arange(-self.K, self.K + 1)
 
     def matrix(self, t) -> np.ndarray:
-        coupling = self.alpha.value(t) / TWO_PI
-        H = np.diag(self.mode_numbers.astype(float) ** 2).astype(complex)
-        H += coupling * np.ones((self.dim, self.dim), dtype=complex)
-        return H
+        return self._kinetic + (self.alpha.value(t) / TWO_PI) * self._ones
 
     def derivative_matrix(self, t):
         if not self.alpha.has_derivative:
             return None
-        coupling = self.alpha.derivative(t) / TWO_PI
-        return coupling * np.ones((self.dim, self.dim), dtype=complex)
+        return (self.alpha.derivative(t) / TWO_PI) * self._ones
 
     def second_derivative_matrix(self, t):
         if not self.alpha.has_second_derivative:
             return None
-        coupling = self.alpha.second_derivative(t) / TWO_PI
-        return coupling * np.ones((self.dim, self.dim), dtype=complex)
+        return (self.alpha.second_derivative(t) / TWO_PI) * self._ones
 
     # -- symmetry-adapted spectrum --------------------------------------------
 

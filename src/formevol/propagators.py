@@ -18,9 +18,10 @@ time, identity at equal times, grid-level strong continuity), weak and strong
 residuals of trajectories, norm conservation, and the convergence of the
 resolvent-regularized dynamics as ``n`` grows.
 
-Tables are immutable once built; per-step evaluations of ``H(t)`` are pure
-and could be computed concurrently, while the composition itself is
-sequential.
+Tables are immutable once built.  Steps are evaluated in blocks of
+:data:`forms.BLOCK`: each block's nodes are stacked through
+:meth:`TimeDependentHamiltonian.stack` and exponentiated by batched
+eigensolves, and only the composition ``U[j+1] = E_j U[j]`` is sequential.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import ArgumentError, GridError
+from .errors import ArgumentError, GridError, NumericalError
 from .forms import blocks, hermitian_spectral_norm, hermitize
 from .models import TimeDependentHamiltonian
 from .scales import HilbertScale
@@ -44,13 +45,15 @@ _CF4_D = 0.25 + _SQRT3 / 6.0
 
 
 def unitary_exp(H, dt) -> np.ndarray:
-    """Exact ``exp(-i dt H)`` of a Hermitian matrix via eigendecomposition."""
+    """Exact ``exp(-i dt H)`` via eigendecomposition, of a Hermitian matrix or
+    of each slice of a ``(..., d, d)`` stack; ``dt`` is a scalar or one per slice."""
     w, Q = np.linalg.eigh(H)
-    return (Q * np.exp(-1j * dt * w)) @ Q.conj().T
+    phases = np.exp(-1j * np.expand_dims(dt, -1) * w)
+    return (Q * phases[..., None, :]) @ Q.conj().swapaxes(-1, -2)
 
 
 def yosida_operator(H, n, shift) -> np.ndarray:
-    """Bounded regularization ``H_n = (A - shift) (1 + A/n)^{-1}`` of ``H``.
+    """Bounded regularization ``H_n = (A - shift) (1 + A/n)^{-1}`` of ``H`` or of a stack.
 
     ``A = H + shift I`` is the positive definite shifted operator; the map
     acts spectrally as ``lam -> (lam_A - shift) * n / (n + lam_A)``, so
@@ -61,10 +64,24 @@ def yosida_operator(H, n, shift) -> np.ndarray:
         raise ArgumentError(f"regularization index must be a positive integer, got {n}")
     H = hermitize(H, context="H")
     shift = float(shift)
-    w, Q = np.linalg.eigh(H + shift * np.eye(H.shape[0]))
+    w, Q = np.linalg.eigh(H + shift * np.eye(H.shape[-1]))
     mapped = (w - shift) * n / (n + w)
-    Hn = (Q * mapped) @ Q.conj().T
-    return 0.5 * (Hn + Hn.conj().T)
+    Hn = (Q * mapped[..., None, :]) @ Q.conj().swapaxes(-1, -2)
+    return 0.5 * (Hn + Hn.conj().swapaxes(-1, -2))
+
+
+class _YosidaFamily(TimeDependentHamiltonian):
+    """``t -> H_n(t)``: its stacks are the Yosida map of the base family's stacks."""
+
+    def __init__(self, tdh, n):
+        super().__init__(tdh.dim, None, tdh.t_span, tdh.semibound,
+                         label=f"{tdh.label}|yosida(n={n})", source=tdh.source)
+        self._base, self._n = tdh, n
+
+    def stack(self, times, order=0):
+        if order != 0:
+            return super().stack(times, order)  # no derivatives are offered
+        return yosida_operator(self._base.stack(times), self._n, self.semibound.m + 1.0)
 
 
 def yosida_hamiltonian(tdh: TimeDependentHamiltonian, n) -> TimeDependentHamiltonian:
@@ -73,15 +90,7 @@ def yosida_hamiltonian(tdh: TimeDependentHamiltonian, n) -> TimeDependentHamilto
     The spectral map is monotone and fixes values at and above ``-m`` toward
     zero, so the original semibound remains valid.
     """
-    shift = tdh.semibound.m + 1.0
-    return TimeDependentHamiltonian(
-        dim=tdh.dim,
-        matrix_fn=lambda t: yosida_operator(tdh(t), n, shift),
-        t_span=tdh.t_span,
-        semibound=tdh.semibound,
-        label=f"{tdh.label}|yosida(n={n})",
-        source=tdh.source,
-    )
+    return _YosidaFamily(tdh, n)
 
 
 @dataclass
@@ -121,13 +130,21 @@ class PropagatorTable:
         return float(np.max(self.diagnostics["unitarity_defect"]))
 
 
-def _finish_table(s, times, mats, method, params):
-    U = np.stack(mats)
+def _finish_table(s, times, U, method, params):
     defects = np.empty(U.shape[0])
     eye = np.eye(U.shape[-1])
     for block in blocks(U.shape[0]):
-        G = U[block].conj().swapaxes(-1, -2) @ U[block] - eye
-        defects[block] = hermitian_spectral_norm(0.5 * (G + G.conj().swapaxes(-1, -2)))
+        # A diverged expansion overflows here; it is reported below, not warned.
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = U[block].conj().swapaxes(-1, -2) @ U[block] - eye
+            G = 0.5 * (G + G.conj().swapaxes(-1, -2))
+        bad = np.flatnonzero(~np.isfinite(G).all(axis=(-2, -1)))
+        if bad.size:
+            raise NumericalError(
+                f"{method} table: the unitarity defect is not finite at t = "
+                f"{times[block][bad[0]]}; the truncated expansion diverged, raise substeps"
+            )
+        defects[block] = hermitian_spectral_norm(G)
     return PropagatorTable(
         s=float(s),
         times=times,
@@ -155,23 +172,23 @@ def reference_propagator(tdh, s, t, substeps, scheme="magnus2") -> PropagatorTab
         raise ArgumentError(f"substeps must be >= 1, got {substeps}")
     if scheme not in ("magnus2", "magnus4"):
         raise ArgumentError(f"unknown reference scheme {scheme!r}")
-    n = tdh.dim
     times = np.linspace(float(s), float(t), substeps + 1)
-    mats = [np.eye(n, dtype=complex)]
-    for j in range(substeps):
-        a, b = times[j], times[j + 1]
-        dt = b - a
+    U = np.empty((substeps + 1, tdh.dim, tdh.dim), dtype=complex)
+    U[0] = np.eye(tdh.dim)
+    for block in blocks(substeps):
+        a, b = times[:-1][block], times[1:][block]
+        dt, mid = b - a, 0.5 * (a + b)
         if scheme == "magnus2":
-            E = unitary_exp(tdh(0.5 * (a + b)), dt)
+            E = unitary_exp(tdh.stack(mid), dt)
         else:
-            mid = 0.5 * (a + b)
-            h1 = tdh(mid - _SQRT3 / 6.0 * dt)
-            h2 = tdh(mid + _SQRT3 / 6.0 * dt)
+            h1 = tdh.stack(mid - _SQRT3 / 6.0 * dt)
+            h2 = tdh.stack(mid + _SQRT3 / 6.0 * dt)
             E = unitary_exp(_CF4_C * h1 + _CF4_D * h2, dt) @ unitary_exp(
                 _CF4_D * h1 + _CF4_C * h2, dt
             )
-        mats.append(E @ mats[-1])
-    return _finish_table(s, times, mats, scheme, {"substeps": substeps})
+        for j, E_j in enumerate(E, start=block.start):
+            U[j + 1] = E_j @ U[j]
+    return _finish_table(s, times, U, scheme, {"substeps": substeps})
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +251,11 @@ def dyson_propagator(tdh, s, t, order, substeps, yosida_n=None) -> PropagatorTab
     if substeps < 1:
         raise ArgumentError(f"substeps must be >= 1, got {substeps}")
 
-    if yosida_n is None:
-        evaluate = tdh
-    else:
-        shift = tdh.semibound.m + 1.0
-        evaluate = lambda tau: yosida_operator(tdh(tau), yosida_n, shift)
-
+    family = tdh if yosida_n is None else yosida_hamiltonian(tdh, yosida_n)
     n = tdh.dim
     times = np.linspace(float(s), float(t), substeps + 1)
-    mats = [np.eye(n, dtype=complex)]
+    U = np.empty((substeps + 1, n, n), dtype=complex)
+    U[0] = np.eye(n)
     for j in range(substeps):
         a, b = times[j], times[j + 1]
         dt = b - a
@@ -251,15 +264,15 @@ def dyson_propagator(tdh, s, t, order, substeps, yosida_n=None) -> PropagatorTab
         for p in range(1, order + 1):
             M = _node_count(abs(dt), order, p)
             if M not in cache:
-                nodes = a + (np.arange(M) + 0.5) * dt / M
-                cache[M] = [evaluate(tau) for tau in nodes]
+                cache[M] = family.stack(a + (np.arange(M) + 0.5) * dt / M)
             term = _simplex_term(cache[M], dt / M, p)
             step = step + (-1j) ** p * term
-        mats.append(step @ mats[-1])
+        with np.errstate(over="ignore", invalid="ignore"):  # caught by _finish_table
+            U[j + 1] = step @ U[j]
     return _finish_table(
         s,
         times,
-        mats,
+        U,
         "dyson",
         {"order": order, "substeps": substeps, "yosida_n": yosida_n},
     )
@@ -409,16 +422,17 @@ def weak_residual(tdh, trajectory, test_vectors, scale=None) -> ResidualReport:
     test = np.asarray(test_vectors, dtype=complex)
     if test.ndim == 1:
         test = test[None, :]
-    dt = steps[0]
     mids = 0.5 * (times[:-1] + times[1:])
+    mid_states = 0.5 * (states[:-1] + states[1:])
+    residuals = np.diff(states, axis=0) / steps[0]
+    for block in blocks(mids.size):
+        residuals[block] += 1j * (tdh.stack(mids[block]) @ mid_states[block, :, None])[..., 0]
     weak_local = np.empty(mids.size)
     strong_h = np.empty(mids.size)
     strong_minus = np.empty(mids.size)
     sq_sum = 0.0
-    for j, tm in enumerate(mids):
-        dpsi = (states[j + 1] - states[j]) / dt
-        mid_state = 0.5 * (states[j] + states[j + 1])
-        rvec = dpsi + 1j * (tdh(tm) @ mid_state)
+    # Row by row: a summed or axis-wise reduction would round differently.
+    for j, rvec in enumerate(residuals):
         vals = np.abs(test.conj() @ rvec)
         weak_local[j] = float(vals.max())
         sq_sum += float(np.sum(vals**2))
@@ -504,23 +518,30 @@ def propagator_axioms(table: PropagatorTable, from_r: PropagatorTable = None,
 
 @dataclass
 class YosidaStudy:
-    """Errors of the regularized propagators against the unregularized one."""
+    """Final-state errors along a sweep against a reference propagation; ``n_values``
+    holds the regularization indices, or the step counts of a step sweep."""
 
     n_values: np.ndarray
     err_h: np.ndarray
     err_plus: np.ndarray
 
+    @classmethod
+    def against(cls, ref, n_values, runs, scale):
+        """Errors of the final states of ``runs`` (one per value) against ``ref``'s,
+        in the ambient norm and in the plus norm of ``scale``."""
+        diffs = [run.final - ref.final for run in runs]
+        err_h = np.array([float(np.linalg.norm(diff)) for diff in diffs])
+        return cls(np.asarray(n_values), err_h, np.array([scale.norm_plus(d) for d in diffs]))
+
     @property
     def ratios(self) -> np.ndarray:
-        """Successive improvement factors ``err(n_i) / err(n_{i+1})``."""
-        return self.err_h[:-1] / self.err_h[1:]
+        """Successive improvement factors ``err(n_i) / err(n_{i+1})``, nan where the latter is 0."""
+        later = self.err_h[1:]
+        return np.divide(self.err_h[:-1], later, out=np.full(later.shape, np.nan), where=later > 0)
 
     def rows(self):
-        out = []
-        for i, n in enumerate(self.n_values):
-            ratio = float(self.ratios[i - 1]) if i > 0 else float("nan")
-            out.append((int(n), float(self.err_h[i]), float(self.err_plus[i]), ratio))
-        return out
+        columns = (self.n_values, self.err_h, self.err_plus, np.append(np.nan, self.ratios))
+        return [(int(n), float(e), float(p), float(r)) for n, e, p, r in zip(*columns)]
 
 
 def yosida_convergence_study(tdh, n_list, psi0, s, t, substeps=1024,
@@ -537,15 +558,8 @@ def yosida_convergence_study(tdh, n_list, psi0, s, t, substeps=1024,
         raise ArgumentError("n_list must be nonempty and strictly increasing")
     psi0 = np.asarray(psi0, dtype=complex)
     ref = propagate(tdh, psi0, s, t, method=scheme, substeps=substeps)
-    scale0 = tdh.scale_at(tdh.t_span[0])
-    err_h = np.empty(n_arr.size)
-    err_plus = np.empty(n_arr.size)
-    for i, n in enumerate(n_arr):
-        approx = propagate(
-            yosida_hamiltonian(tdh, int(n)), psi0, s, t,
-            method=scheme, substeps=substeps,
-        )
-        diff = approx.final - ref.final
-        err_h[i] = float(np.linalg.norm(diff))
-        err_plus[i] = scale0.norm_plus(diff)
-    return YosidaStudy(n_values=n_arr, err_h=err_h, err_plus=err_plus)
+    runs = (
+        propagate(yosida_hamiltonian(tdh, int(n)), psi0, s, t, method=scheme, substeps=substeps)
+        for n in n_arr
+    )
+    return YosidaStudy.against(ref, n_arr, runs, tdh.scale_at(tdh.t_span[0]))

@@ -139,11 +139,9 @@ def _derivative_stack(tdh, grid, order, h=None, allow_fd=True):
     ``h`` (default ``span * 1e-4``) at the time clamped into ``[t0 + h, t1 - h]``,
     on the analytic first derivative when there is one.
     """
-    if order not in (0, 1, 2):
-        raise ArgumentError(f"derivative order must be 0, 1 or 2, got {order}")
-    if (True, tdh.has_derivative, tdh.has_second_derivative)[order]:
-        evaluate = (tdh, tdh.derivative, tdh.second_derivative)[order]
-        return np.stack([evaluate(t) for t in grid])
+    D = tdh.stack(grid, order)
+    if D is not None:
+        return D
     if not allow_fd:
         raise ArgumentError(
             f"analytic {'second ' if order == 2 else ''}derivative unavailable "
@@ -312,6 +310,7 @@ def _k2_band_maxima(W, grid, thresholds, counters=None):
     np.ldexp(flat, -exponent, out=flat)
     sq = np.einsum("ik,ik->i", flat, flat)
     gram = flat @ flat.T
+    del flat  # released before the band walk, which needs only W and the bounds
     I, J = np.triu_indices(N, k=1)
     scale = sq[I] + sq[J]
     bound_sq = np.maximum(scale - 2.0 * gram[I, J], 0.0) + slack * scale + _TINY

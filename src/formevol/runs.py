@@ -24,7 +24,7 @@ from . import __version__
 from .config import ExperimentConfig, config_hash, serialize_config
 from .errors import ConfigError
 from .models import alpha_profile, circle_delta_model, spectrum, synthetic_family
-from .propagators import Trajectory, propagate, weak_residual, yosida_convergence_study
+from .propagators import Trajectory, YosidaStudy, propagate, weak_residual, yosida_convergence_study
 from .regularity import bridge_check, uniform_grid
 
 
@@ -403,27 +403,18 @@ def run_convergence(cfg: ExperimentConfig, outdir):
             tdh, psi0, s, t, method=method, substeps=4 * max(steps_list),
             order=cfg.propagator.order,
         )
-        scale0 = tdh.scale_at(tdh.t_span[0])
-        errs, errs_plus = [], []
-        for N in steps_list:
-            run = propagate(
-                tdh, psi0, s, t, method=method, substeps=N,
-                order=cfg.propagator.order,
-            )
-            diff = run.final - ref.final
-            errs.append(float(np.linalg.norm(diff)))
-            errs_plus.append(scale0.norm_plus(diff))
-        rows = []
-        for i, N in enumerate(steps_list):
-            ratio = errs[i - 1] / errs[i] if i > 0 and errs[i] > 0 else float("nan")
-            rows.append((int(N), errs[i], errs_plus[i], ratio))
+        runs = (
+            propagate(tdh, psi0, s, t, method=method, substeps=N, order=cfg.propagator.order)
+            for N in steps_list
+        )
+        sweep = YosidaStudy.against(ref, steps_list, runs, tdh.scale_at(tdh.t_span[0]))
         write_csv(
             os.path.join(outdir, "convergence_steps.csv"),
             ["steps", "err_H", "err_plus", "ratio"],
-            rows,
+            sweep.rows(),
         )
         outputs.append("convergence_steps.csv")
-        series["steps_err_H"] = (np.asarray(steps_list, float), np.asarray(errs))
+        series["steps_err_H"] = (np.asarray(steps_list, float), sweep.err_h)
 
     emit_plotdata([(config_hash(cfg), series)], os.path.join(outdir, "plotdata.csv"))
     outputs.append("plotdata.csv")

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import scipy.linalg
 
-from formevol import HilbertScale, Semibound, build_scale
+from formevol import HilbertScale, Semibound, TimeDependentHamiltonian, build_scale
 from formevol.forms import hermitian_spectral_norm, hermitize
+from formevol.propagators import _CF4_C, _CF4_D, _node_count, _simplex_term
 from formevol.regularity import _fd_derivative
 
 
@@ -155,3 +156,101 @@ def reference_unitarity_defects(U):
         G = U[j].conj().T @ U[j] - eye
         defects[j] = hermitian_spectral_norm(0.5 * (G + G.conj().T))
     return defects
+
+
+# ---------------------------------------------------------------------------
+# Per-step reference loops of the propagators.  The library stacks the nodes
+# of a block of steps through ``TimeDependentHamiltonian.stack`` and runs
+# batched eigensolves and products; these loops evaluate one time and one
+# matrix at a time, as the propagators did before, and must agree bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _exp(H, dt):
+    w, Q = np.linalg.eigh(H)
+    return (Q * np.exp(-1j * dt * w)) @ Q.conj().T
+
+
+def reference_yosida_operator(H, n, shift):
+    w, Q = np.linalg.eigh(H + shift * np.eye(H.shape[0]))
+    Hn = (Q * ((w - shift) * n / (n + w))) @ Q.conj().T
+    return 0.5 * (Hn + Hn.conj().T)
+
+
+def reference_yosida_family(tdh, n):
+    """``t -> H_n(t)`` evaluated one time at a time through a per-time callable."""
+    shift = tdh.semibound.m + 1.0
+    return TimeDependentHamiltonian(
+        tdh.dim, lambda t: reference_yosida_operator(tdh(t), n, shift),
+        tdh.t_span, tdh.semibound,
+    )
+
+
+def reference_table(tdh, s, t, substeps, scheme="magnus2"):
+    """``(times, U, unitarity defects)`` of the per-step magnus2/magnus4 loop."""
+    times = np.linspace(float(s), float(t), substeps + 1)
+    mats = [np.eye(tdh.dim, dtype=complex)]
+    for j in range(substeps):
+        a, b = times[j], times[j + 1]
+        dt, mid = b - a, 0.5 * (a + b)
+        if scheme == "magnus2":
+            E = _exp(tdh(mid), dt)
+        else:
+            h1 = tdh(mid - math.sqrt(3.0) / 6.0 * dt)
+            h2 = tdh(mid + math.sqrt(3.0) / 6.0 * dt)
+            E = _exp(_CF4_C * h1 + _CF4_D * h2, dt) @ _exp(_CF4_D * h1 + _CF4_C * h2, dt)
+        mats.append(E @ mats[-1])
+    U = np.stack(mats)
+    return times, U, reference_unitarity_defects(U)
+
+
+def reference_dyson_table(tdh, s, t, order, substeps, yosida_n=None):
+    """``(times, U, unitarity defects)`` of the per-node Dyson loop."""
+    if yosida_n is None:
+        evaluate = tdh
+    else:
+        shift = tdh.semibound.m + 1.0
+        evaluate = lambda tau: reference_yosida_operator(tdh(tau), yosida_n, shift)
+    n = tdh.dim
+    times = np.linspace(float(s), float(t), substeps + 1)
+    mats = [np.eye(n, dtype=complex)]
+    for j in range(substeps):
+        a, b = times[j], times[j + 1]
+        dt = b - a
+        step = np.eye(n, dtype=complex)
+        cache = {}
+        for p in range(1, order + 1):
+            M = _node_count(abs(dt), order, p)
+            if M not in cache:
+                nodes = a + (np.arange(M) + 0.5) * dt / M
+                cache[M] = [evaluate(tau) for tau in nodes]
+            step = step + (-1j) ** p * _simplex_term(cache[M], dt / M, p)
+        mats.append(step @ mats[-1])
+    U = np.stack(mats)
+    return times, U, reference_unitarity_defects(U)
+
+
+def reference_weak_residual(tdh, trajectory, test, scale):
+    """``(report dict, weak_local)`` of the per-midpoint residual loop."""
+    times, states = trajectory.times, trajectory.states
+    dt = np.diff(times)[0]
+    mids = 0.5 * (times[:-1] + times[1:])
+    weak_local, strong_h, strong_minus = np.empty((3, mids.size))
+    sq_sum = 0.0
+    for j, tm in enumerate(mids):
+        dpsi = (states[j + 1] - states[j]) / dt
+        mid_state = 0.5 * (states[j] + states[j + 1])
+        rvec = dpsi + 1j * (tdh(tm) @ mid_state)
+        vals = np.abs(test.conj() @ rvec)
+        weak_local[j] = float(vals.max())
+        sq_sum += float(np.sum(vals**2))
+        strong_h[j] = float(np.linalg.norm(rvec))
+        strong_minus[j] = scale.norm_minus(rvec)
+    report = {
+        "weak_residual": float(weak_local.max()),
+        "weak_residual_l2": float(np.sqrt(sq_sum / (mids.size * test.shape[0]))),
+        "strong_residual": float(strong_h.max()),
+        "strong_residual_minus": float(strong_minus.max()),
+        "norm_drift": trajectory.norm_drift(),
+    }
+    return report, weak_local

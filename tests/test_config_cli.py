@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,3 +276,17 @@ class TestCli:
             if name == "run_record.json":  # the one artifact carrying timing
                 continue
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    def test_diverged_dyson_expansion_is_a_named_numerical_error(self, tmp_path, capsys):
+        # configs/propagate_circle.ini with method = dyson, order = 4, at 64
+        # steps instead of 512: dt * |H| ~ 25, so the truncated series blows up.
+        text = (Path(__file__).parents[1] / "configs" / "propagate_circle.ini").read_text()
+        text = text.replace("steps = 512", "steps = 64")
+        cfg = self._write(tmp_path, text.replace("method = magnus2", "method = dyson\norder = 4"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["propagate", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unitarity defect is not finite at t = " in err
+        assert "truncated expansion diverged" in err and "raise substeps" in err

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formevol import (
+    ArgumentError,
     HermitianForm,
     NotHermitianError,
     NotPositiveDefiniteError,
@@ -14,7 +15,7 @@ from formevol import (
     represent_form,
     semibound_of,
 )
-from formevol.forms import hermitian_spectral_norm
+from formevol.forms import hermitian_spectral_norm, hermitize
 from formevol.models import CircleDeltaModel, alpha_profile
 
 from helpers import random_hermitian, random_unit_vector
@@ -175,3 +176,30 @@ class TestHermitianSpectralNorm:
     def test_empty_inputs(self):
         assert hermitian_spectral_norm(np.zeros((0, 0))) == 0.0
         assert hermitian_spectral_norm(np.zeros((0, 4, 4))).shape == (0,)
+
+
+class TestHermitizeStack:
+    def test_slices_match_one_matrix_calls(self):
+        rng = np.random.default_rng(9)
+        stack = np.stack([random_hermitian(rng, 3) for _ in range(5)])
+        stack[2, 0, 1] += 1e-15  # within tolerance, symmetrized away
+        out = hermitize(stack)
+        for j in range(stack.shape[0]):
+            assert np.array_equal(out[j], hermitize(stack[j]))
+
+    def test_each_slice_has_its_own_tolerance(self):
+        # Slice 1's asymmetry 1e-10 is far within 1e-13 of slice 0's largest
+        # entry 1e6, but must be judged against its own scale.
+        stack = np.stack([1e6 * np.eye(2), np.eye(2)]).astype(complex)
+        stack[1, 0, 1] = 1e-10
+        with pytest.raises(NotHermitianError) as err:
+            hermitize(stack, context=lambda j: f"slice {j}")
+        assert "slice 1" in str(err.value)
+        assert err.value.tolerance == pytest.approx(1e-13)
+        assert hermitize(stack[:1]).shape == (1, 2, 2)
+
+    def test_rejects_non_square_stacks(self):
+        with pytest.raises(ArgumentError):
+            hermitize(np.zeros((3, 2, 4)))
+        with pytest.raises(ArgumentError):
+            hermitize(np.zeros(4))

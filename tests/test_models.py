@@ -7,6 +7,9 @@ from scipy.optimize import brentq
 from formevol import (
     ArgumentError,
     CircleDeltaModel,
+    NotHermitianError,
+    Semibound,
+    TimeDependentHamiltonian,
     alpha_profile,
     circle_delta_model,
     reference_propagator,
@@ -190,3 +193,56 @@ class TestSyntheticFamilies:
     def test_needs_two_dimensions(self):
         with pytest.raises(ArgumentError):
             synthetic_family("constant", 1, 1.0)
+
+
+def skewing_family(t_star=0.5):
+    """Hermitian up to ``t_star``, with a growing asymmetric entry from then on."""
+    def matrix(t):
+        return np.array([[1.0, max(0.0, t - t_star)], [0.0, 2.0]], dtype=complex)
+    return TimeDependentHamiltonian(2, matrix, (0.0, 1.0), Semibound(0.0))
+
+
+class TestStack:
+    def test_slices_are_the_symmetrized_callables(self):
+        tdh = circle_delta_model(2, alpha_profile("polynomial", coeffs=[0.5, -1.0, 2.0]), 1.0)
+        model = tdh.source
+        callables = (model.matrix, model.derivative_matrix, model.second_derivative_matrix)
+        one_time = (tdh, tdh.derivative, tdh.second_derivative)
+        grid = np.linspace(0.0, 1.0, 37)
+        for order, fn in enumerate(callables):
+            stack = tdh.stack(grid, order)
+            assert stack.shape == (grid.size, tdh.dim, tdh.dim)
+            for j, t in enumerate(grid):
+                M = fn(t)
+                assert np.array_equal(stack[j], 0.5 * (M + M.conj().T))
+                assert np.array_equal(one_time[order](t), stack[j])
+
+    def test_names_the_first_non_hermitian_time(self):
+        tdh = skewing_family()
+        grid = np.linspace(0.0, 1.0, 41)
+        first = grid[np.flatnonzero(grid > 0.5)[0]]
+        assert tdh.stack(grid[grid <= 0.5]).shape == (21, 2, 2)
+        with pytest.raises(NotHermitianError) as err:
+            tdh.stack(grid)
+        assert f"H({first})" in str(err.value)
+        with pytest.raises(NotHermitianError):
+            tdh(first)
+
+    def test_wrong_shape_is_an_argument_error(self):
+        tdh = TimeDependentHamiltonian(3, lambda t: np.eye(2), (0.0, 1.0), Semibound(0.0))
+        with pytest.raises(ArgumentError, match=r"H\(0.5\) has shape \(2, 2\)"):
+            tdh.stack([0.5])
+        with pytest.raises(ArgumentError):
+            tdh(0.0)
+
+    def test_missing_derivatives_give_none(self):
+        tdh = circle_delta_model(2, alpha_profile("kink", center=0.5), 1.0)
+        assert tdh.stack([0.2, 0.7], 1).shape == (2, 5, 5)
+        assert tdh.stack([0.2, 0.7], 2) is None
+        assert tdh.second_derivative(0.2) is None
+        table = circle_delta_model(
+            2, alpha_profile("table", times=[0.0, 1.0], values=[0.0, 1.0]), 1.0
+        )
+        assert table.stack([0.2], 1) is None and table.derivative(0.2) is None
+        with pytest.raises(ArgumentError):
+            table.stack([0.2], 3)

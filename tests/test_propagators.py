@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import scipy.linalg as sla
 
 from formevol import (
     ArgumentError,
+    NumericalError,
     Semibound,
     TimeDependentHamiltonian,
     alpha_profile,
+    build_table,
     circle_delta_model,
     dyson_propagator,
     form_operator_norm,
@@ -23,7 +26,16 @@ from formevol import (
     yosida_operator,
 )
 
-from helpers import random_hermitian, reference_unitarity_defects
+from helpers import (
+    random_hermitian,
+    random_unit_vector,
+    reference_dyson_table,
+    reference_table,
+    reference_unitarity_defects,
+    reference_weak_residual,
+    reference_yosida_family,
+    reference_yosida_operator,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -208,6 +220,15 @@ class TestDysonPropagator:
         direct = dyson_propagator(tdh, 0.0, 1.0, 2, 128, yosida_n=n)
         via_family = reference_propagator(yosida_hamiltonian(tdh, n), 0.0, 1.0, 4096)
         assert np.linalg.norm(direct.final - via_family.final, 2) < 5e-4
+
+    def test_divergence_is_a_numerical_error_without_warnings(self):
+        # dt * |H| = 100: the order-4 series grows ~4e6 a step, so the table
+        # overflows too, not only its unitarity check U* U.
+        tdh = constant_family(np.diag([0.0, 3000.0]), T=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"not finite at t = .*diverged"):
+                dyson_propagator(tdh, 0.0, 2.0, 4, 60)
 
     def test_rejects_bad_order(self):
         tdh = constant_family(np.eye(2))
@@ -424,6 +445,17 @@ class TestYosidaConvergence:
         with pytest.raises(ArgumentError):
             yosida_convergence_study(tdh, [8, 4], np.array([1.0, 0.0]), 0.0, 1.0)
 
+    def test_zero_errors_give_nan_ratios_without_warnings(self):
+        # H = 0: every regularized propagator equals the reference exactly, so
+        # each ratio would be 0/0.
+        tdh = synthetic_family("constant", 2, 1.0, {"matrix": np.zeros((2, 2))})
+        e0 = np.array([1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = yosida_convergence_study(tdh, [2, 4], e0, 0.0, 1.0, substeps=8).rows()
+        assert [row[:3] for row in rows] == [(2, 0.0, 0.0), (4, 0.0, 0.0)]
+        assert all(math.isnan(row[3]) for row in rows)
+
 
 class TestUnitarityDefects:
     @pytest.mark.parametrize(
@@ -439,3 +471,84 @@ class TestUnitarityDefects:
         table = build(circle_delta_model(3, prof, TWO_PI))
         defects = table.diagnostics["unitarity_defect"]
         assert np.array_equal(defects, reference_unitarity_defects(table.matrices))
+
+
+SUBSTEPS = (1, 31, 32, 33, 65)  # around the edges of the step blocks
+
+FAMILIES = {
+    "sin": lambda: circle_delta_model(
+        2, alpha_profile("trigonometric", amplitude=1.5, phase=0.3), TWO_PI
+    ),
+    "kink": lambda: circle_delta_model(
+        2, alpha_profile("kink", center=2.0, amplitude=1.0), TWO_PI
+    ),
+    "table": lambda: circle_delta_model(
+        2, alpha_profile("table", times=[0.0, 2.0, 4.0, TWO_PI], values=[0.0, 1.0, -0.5, 0.3]),
+        TWO_PI,
+    ),
+    "rotating_frame": lambda: synthetic_family("rotating_frame", 4, 2.0, {"seed": 5}),
+    "commuting_diagonal": lambda: synthetic_family("commuting_diagonal", 3, 1.0),
+}
+
+
+def assert_table_matches(table, reference):
+    times, U, defects = reference
+    assert np.array_equal(table.times, times)
+    assert np.array_equal(table.matrices, U)
+    assert np.array_equal(table.diagnostics["unitarity_defect"], defects)
+
+
+class TestBatchedSteps:
+    """Blocked, stacked step evaluation against the per-step loops, bit for bit."""
+
+    @pytest.mark.parametrize("scheme", ["magnus2", "magnus4"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_reference_tables(self, family, scheme):
+        tdh = FAMILIES[family]()
+        t1 = tdh.t_span[1]
+        for substeps in SUBSTEPS:
+            table = reference_propagator(tdh, 0.0, t1, substeps, scheme=scheme)
+            assert_table_matches(table, reference_table(tdh, 0.0, t1, substeps, scheme))
+
+    @pytest.mark.parametrize("n", [4, 64])
+    @pytest.mark.parametrize("family", ["sin", "kink", "rotating_frame"])
+    def test_yosida_tables(self, family, n):
+        tdh = FAMILIES[family]()
+        t1 = tdh.t_span[1]
+        per_time = reference_yosida_family(tdh, n)
+        for scheme in ("magnus2", "magnus4"):
+            for substeps in SUBSTEPS:
+                table = build_table(tdh, 0.0, t1, method="yosida", substeps=substeps,
+                                    yosida_n=n, inner_scheme=scheme)
+                assert_table_matches(table, reference_table(per_time, 0.0, t1, substeps, scheme))
+
+    @pytest.mark.parametrize("yosida_n", [None, 8])
+    @pytest.mark.parametrize("family", ["sin", "table", "rotating_frame"])
+    def test_dyson_tables(self, family, yosida_n):
+        tdh = FAMILIES[family]()
+        t1 = tdh.t_span[1]
+        for order in (2, 4):
+            for substeps in SUBSTEPS:
+                table = dyson_propagator(tdh, 0.0, t1, order, substeps, yosida_n=yosida_n)
+                reference = reference_dyson_table(tdh, 0.0, t1, order, substeps, yosida_n)
+                assert_table_matches(table, reference)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_weak_residual(self, family):
+        tdh = FAMILIES[family]()
+        scale = tdh.scale_at(tdh.t_span[0])
+        test = np.eye(tdh.dim, dtype=complex)[:2]
+        psi0 = random_unit_vector(np.random.default_rng(3), tdh.dim)
+        for substeps in (2, 31, 32, 33, 65):
+            traj = propagate(tdh, psi0, 0.0, tdh.t_span[1], substeps=substeps)
+            report = weak_residual(tdh, traj, test, scale=scale)
+            expected, weak_local = reference_weak_residual(tdh, traj, test, scale)
+            assert report.to_dict() == expected
+            assert np.array_equal(report.weak_local, weak_local)
+
+    def test_yosida_operator_on_a_stack(self):
+        rng = np.random.default_rng(4)
+        H = np.stack([random_hermitian(rng, 5, scale=10.0) for _ in range(7)])
+        Hn = yosida_operator(H, 16, 30.0)
+        for j in range(H.shape[0]):
+            assert np.array_equal(Hn[j], reference_yosida_operator(H[j], 16, 30.0))

@@ -478,7 +478,7 @@ class TestBatchedGrid:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 11 * 2**20
 
 
 def failing_semibound_family():
