@@ -28,6 +28,7 @@ from .scales import (
     pairing,
 )
 from .models import (
+    AffineHamiltonian,
     AlphaProfile,
     CircleDeltaModel,
     SyntheticModel,

@@ -52,13 +52,16 @@ def hermitize(M, rtol=HERMITICITY_RTOL, context=""):
     return 0.5 * (A + Ah)
 
 
-#: Matrices per batched LAPACK call or product over a time grid; bounds the temporaries.
-BLOCK = 32
+#: Matrix entries per batched LAPACK call or product over a time grid: bounds
+#: the temporaries whatever the dimension (30 slices at d = 33, 3640 at d = 3,
+#: and at least one slice).
+BLOCK_ENTRIES = 2**15
 
 
-def blocks(n):
-    """Consecutive slices of at most :data:`BLOCK` indices covering ``range(n)``."""
-    return [slice(start, start + BLOCK) for start in range(0, n, BLOCK)]
+def blocks(n, dim):
+    """Slices covering ``range(n)``, for blocks of :data:`BLOCK_ENTRIES` ``dim x dim`` entries."""
+    size = max(1, BLOCK_ENTRIES // (dim * dim))
+    return [slice(start, start + size) for start in range(0, n, size)]
 
 
 def hermitian_spectral_norm(M):

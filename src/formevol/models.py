@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ArgumentError
-from .forms import Semibound, hermitize
+from .forms import Semibound, blocks, hermitize
 from .scales import HilbertScale, build_scale
 
 TWO_PI = 2.0 * math.pi
@@ -75,6 +75,10 @@ class AlphaProfile:
 
     # -- evaluation ----------------------------------------------------------
 
+    def _trigonometric(self):
+        p = self.params
+        return p.get("amplitude", 1.0), p.get("frequency", 1.0), p.get("phase", 0.0)
+
     def value(self, t) -> float:
         k, p = self.kind, self.params
         if k == "constant":
@@ -82,9 +86,7 @@ class AlphaProfile:
         if k == "polynomial":
             return float(np.polynomial.polynomial.polyval(t, p["coeffs"]))
         if k == "trigonometric":
-            a = p.get("amplitude", 1.0)
-            w = p.get("frequency", 1.0)
-            ph = p.get("phase", 0.0)
+            a, w, ph = self._trigonometric()
             return float(a * math.sin(w * t + ph) + p.get("offset", 0.0))
         if k == "kink":
             a = p.get("amplitude", 1.0)
@@ -114,9 +116,7 @@ class AlphaProfile:
             d = np.polynomial.polynomial.polyder(np.asarray(p["coeffs"], dtype=float))
             return float(np.polynomial.polynomial.polyval(t, d))
         if k == "trigonometric":
-            a = p.get("amplitude", 1.0)
-            w = p.get("frequency", 1.0)
-            ph = p.get("phase", 0.0)
+            a, w, ph = self._trigonometric()
             return float(a * w * math.cos(w * t + ph))
         if k == "kink":
             # Bounded a.e. derivative; the corner itself reports 0.
@@ -138,9 +138,7 @@ class AlphaProfile:
             d2 = np.polynomial.polynomial.polyder(c, 2)
             return float(np.polynomial.polynomial.polyval(t, d2))
         if k == "trigonometric":
-            a = p.get("amplitude", 1.0)
-            w = p.get("frequency", 1.0)
-            ph = p.get("phase", 0.0)
+            a, w, ph = self._trigonometric()
             return float(-a * w * w * math.sin(w * t + ph))
         raise ArgumentError(f"profile kind {k!r} offers no second derivative")
 
@@ -161,11 +159,6 @@ class AlphaProfile:
             return float(min(candidates))
         return float(self._scan(t0, t1, self.value).min())
 
-    def sup_abs(self, t0, t1) -> float:
-        if self.kind == "constant":
-            return abs(self.value(t0))
-        return float(np.abs(self._scan(t0, t1, self.value)).max())
-
 
 def alpha_profile(kind, **params) -> AlphaProfile:
     """Build an :class:`AlphaProfile`; see the class docstring for kinds."""
@@ -178,7 +171,7 @@ class TimeDependentHamiltonian:
     ``semibound`` must be uniform: ``lambda_min(H(t)) >= -m`` for all ``t``
     in the span.  :meth:`stack` evaluates ``H`` or an analytic derivative on
     a time grid; calling the object, ``derivative`` and ``second_derivative``
-    are its one-time slices.
+    are its one-time slices.  Here stacks call per-time callables; see :class:`AffineHamiltonian`.
 
     The evaluation callables must be pure; instances carry no mutable state,
     so they are safe for concurrent use.
@@ -203,9 +196,13 @@ class TimeDependentHamiltonian:
         self.semibound = semibound if isinstance(semibound, Semibound) else Semibound(float(semibound))
         self.label = label
         self.source = source
-        self._matrix_fn = matrix_fn
-        self._derivative_fn = derivative_fn
-        self._second_derivative_fn = second_derivative_fn
+        # By derivative order, what ``stack`` evaluates; None when not offered.
+        self._fns = (matrix_fn, derivative_fn, second_derivative_fn)
+
+    def _offered(self, order):
+        if order not in (0, 1, 2):
+            raise ArgumentError(f"derivative order must be 0, 1 or 2, got {order}")
+        return self._fns[order]
 
     def stack(self, times, order=0):
         """``d^n H/dt^n``, ``n = order`` in 0..2, at each of ``times``, stacked ``(N, d, d)``.
@@ -214,9 +211,7 @@ class TimeDependentHamiltonian:
         slice by slice (errors name the first failing time) and symmetrized.
         ``None`` when that derivative was not supplied.
         """
-        if order not in (0, 1, 2):
-            raise ArgumentError(f"derivative order must be 0, 1 or 2, got {order}")
-        fn = (self._matrix_fn, self._derivative_fn, self._second_derivative_fn)[order]
+        fn = self._offered(order)
         if fn is None:
             return None
         name = ("H", "dH/dt", "d2H/dt2")[order]
@@ -234,21 +229,18 @@ class TimeDependentHamiltonian:
 
     @property
     def has_derivative(self) -> bool:
-        return self._derivative_fn is not None
-
-    @property
-    def has_second_derivative(self) -> bool:
-        return self._second_derivative_fn is not None
+        return self._fns[1] is not None
 
     def derivative(self, t):
-        return None if self._derivative_fn is None else self.stack([t], 1)[0]
+        return None if self._fns[1] is None else self.stack([t], 1)[0]
 
     def second_derivative(self, t):
-        return None if self._second_derivative_fn is None else self.stack([t], 2)[0]
+        return None if self._fns[2] is None else self.stack([t], 2)[0]
 
     def shifted(self, t):
-        """The scale operator ``A(t) = H(t) + (m + 1) I`` at time ``t``."""
-        return self(t) + (self.semibound.m + 1.0) * np.eye(self.dim)
+        """The scale operator ``A(t) = H(t) + (m + 1) I`` at ``t``, or stacked over 1-d times."""
+        A = self.stack(np.atleast_1d(t)) + (self.semibound.m + 1.0) * np.eye(self.dim)
+        return A if np.ndim(t) else A[0]
 
     def scale_at(self, t) -> HilbertScale:
         return build_scale(self(t), self.semibound, label=f"{self.label}@{t}")
@@ -259,6 +251,43 @@ class TimeDependentHamiltonian:
             f"<TimeDependentHamiltonian{tag} dim={self.dim} "
             f"span={self.t_span} m={self.semibound.m:.6g}>"
         )
+
+
+class AffineHamiltonian(TimeDependentHamiltonian):
+    """``H(t) = H0 + sum_r f_r(t) B_r``, with ``terms`` the pairs ``(B_r, (f_r, f_r', f_r''))``.
+
+    A ``None`` derivative withdraws that order from the family.  ``H0`` and each
+    ``B_r`` are checked Hermitian once, here; a stack is one broadcast of the
+    scalar coefficients, evaluated one time at a time, over the fixed matrices.
+    """
+
+    def __init__(self, H0, terms, t_span, semibound, label="", source=None):
+        H0 = hermitize(H0, rtol=1e-12, context="H0")
+        mats = [hermitize(B, rtol=1e-12, context=f"B_{r}") for r, (B, _) in enumerate(terms)]
+        for r, B in enumerate(mats):
+            if B.shape != H0.shape:
+                raise ArgumentError(f"B_{r} has shape {B.shape}, expected {H0.shape}")
+        super().__init__(H0.shape[0], None, t_span, semibound, label=label, source=source)
+        self.H0, self.B = H0, mats
+        # By order, the coefficient callables; None when one of them is missing.
+        by_order = [tuple(fns[order] for _, fns in terms) for order in range(3)]
+        self._fns = tuple(None if None in fns else fns for fns in by_order)
+
+    def stack(self, times, order=0):
+        coefficients = self._offered(order)
+        if coefficients is None:
+            return None
+        times = np.asarray(times, dtype=float)
+        out = np.zeros((times.size, self.dim, self.dim), dtype=complex)
+        for r, (f, B) in enumerate(zip(coefficients, self.B)):
+            c = np.fromiter(map(f, times), float, times.size)[:, None, None]
+            if r == 0:
+                np.multiply(c, B, out=out)
+            else:
+                out += c * B
+        if order == 0:
+            out += self.H0
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +319,6 @@ class CircleDeltaModel:
             )
         if not self.T > 0:
             raise ArgumentError(f"T must be positive, got {self.T}")
-        # The fixed parts of H(t), built once: diag(k^2) and the all-ones matrix.
-        object.__setattr__(self, "_kinetic", np.diag(self.mode_numbers**2.0).astype(complex))
-        object.__setattr__(self, "_ones", np.ones((self.dim, self.dim), dtype=complex))
 
     @property
     def dim(self) -> int:
@@ -303,34 +329,31 @@ class CircleDeltaModel:
         return np.arange(-self.K, self.K + 1)
 
     def matrix(self, t) -> np.ndarray:
-        return self._kinetic + (self.alpha.value(t) / TWO_PI) * self._ones
-
-    def derivative_matrix(self, t):
-        if not self.alpha.has_derivative:
-            return None
-        return (self.alpha.derivative(t) / TWO_PI) * self._ones
-
-    def second_derivative_matrix(self, t):
-        if not self.alpha.has_second_derivative:
-            return None
-        return (self.alpha.second_derivative(t) / TWO_PI) * self._ones
+        return np.diag(self.mode_numbers**2.0) + self.alpha.value(t) / TWO_PI
 
     # -- symmetry-adapted spectrum --------------------------------------------
 
-    def symmetric_block(self, t) -> np.ndarray:
-        """Interaction-coupled sector in the basis ``e_0, (e_k + e_{-k})/sqrt 2``."""
+    def symmetric_blocks(self, times) -> np.ndarray:
+        """Coupled sector ``diag(k^2) + c(t) w w^T`` on ``e_0, (e_k + e_{-k})/sqrt 2``, per time."""
         ks = np.arange(0, self.K + 1, dtype=float)
         w = np.full(self.K + 1, math.sqrt(2.0))
         w[0] = 1.0
-        return np.diag(ks**2) + (self.alpha.value(t) / TWO_PI) * np.outer(w, w)
+        c = np.array([self.alpha.value(t) / TWO_PI for t in times])
+        return np.diag(ks**2) + c[:, None, None] * np.outer(w, w)
+
+    def symmetric_block(self, t) -> np.ndarray:
+        return self.symmetric_blocks([t])[0]
 
     def antisymmetric_eigenvalues(self) -> np.ndarray:
         """Eigenvalues ``k^2`` of the decoupled sector, exact for every ``t``."""
         return np.arange(1, self.K + 1, dtype=float) ** 2
 
     def spectrum(self, t) -> np.ndarray:
-        sym = np.linalg.eigvalsh(self.symmetric_block(t))
-        return np.sort(np.concatenate([sym, self.antisymmetric_eigenvalues()]))
+        """Sorted eigenvalues at ``t``, or one row per time of a 1-d array of times."""
+        sym = np.linalg.eigvalsh(self.symmetric_blocks(np.atleast_1d(t)))
+        anti = np.broadcast_to(self.antisymmetric_eigenvalues(), (sym.shape[0], self.K))
+        out = np.sort(np.concatenate([sym, anti], axis=1), axis=1)
+        return out if np.ndim(t) else out[0]
 
     def secular_residual(self, lam, t, normalized=True) -> float:
         """Residual of ``1 + alpha/(2 pi) * sum_k 1 / (k^2 - lam)`` at ``lam``.
@@ -361,19 +384,14 @@ class CircleDeltaModel:
         return Semibound(m=max(0.0, -lam_min))
 
     def to_hamiltonian(self) -> TimeDependentHamiltonian:
-        deriv = self.derivative_matrix if self.alpha.has_derivative else None
-        deriv2 = (
-            self.second_derivative_matrix if self.alpha.has_second_derivative else None
-        )
-        return TimeDependentHamiltonian(
-            dim=self.dim,
-            matrix_fn=self.matrix,
-            t_span=(0.0, self.T),
-            semibound=self.uniform_semibound(),
-            derivative_fn=deriv,
-            second_derivative_fn=deriv2,
-            label=f"circle_delta(K={self.K}, alpha={self.alpha.kind})",
-            source=self,
+        a = self.alpha
+        fns = (a.value, a.has_derivative and a.derivative,
+               a.has_second_derivative and a.second_derivative)
+        coefficients = tuple((lambda t, f=f: f(t) / TWO_PI) if f else None for f in fns)
+        return AffineHamiltonian(
+            np.diag(self.mode_numbers**2.0), [(np.ones((self.dim, self.dim)), coefficients)],
+            (0.0, self.T), self.uniform_semibound(),
+            label=f"circle_delta(K={self.K}, alpha={a.kind})", source=self,
         )
 
 
@@ -383,19 +401,25 @@ def circle_delta_model(K, alpha: AlphaProfile, T) -> TimeDependentHamiltonian:
 
 
 def spectrum(model, t) -> np.ndarray:
-    """Sorted eigenvalues of ``H(t)``.
+    """Sorted eigenvalues of ``H(t)``, or one row per time of a 1-d array of times.
 
     Circle models use the exact symmetry-adapted block split, which keeps the
     decoupled eigenvalues at ``k^2`` without roundoff from the full solve;
-    anything else falls back to a dense Hermitian eigensolve.
+    anything else falls back to dense Hermitian eigensolves of its stacks.
+    Times go through batched eigensolves in blocks.
     """
-    if isinstance(model, CircleDeltaModel):
-        return model.spectrum(t)
-    if isinstance(model, TimeDependentHamiltonian):
-        if isinstance(model.source, CircleDeltaModel):
-            return model.source.spectrum(t)
-        return np.linalg.eigvalsh(model(t))
-    raise ArgumentError(f"cannot compute a spectrum for {type(model).__name__}")
+    circle = getattr(model, "source", model)
+    if isinstance(circle, CircleDeltaModel):
+        solve, dim = circle.spectrum, circle.K + 1
+    elif isinstance(model, TimeDependentHamiltonian):
+        solve, dim = (lambda ts: np.linalg.eigvalsh(model.stack(ts))), model.dim
+    else:
+        raise ArgumentError(f"cannot compute a spectrum for {type(model).__name__}")
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty((times.size, model.dim))
+    for block in blocks(times.size, dim):
+        out[block] = solve(times[block])
+    return out if np.ndim(t) else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -457,20 +481,16 @@ def synthetic_family(kind, n, T, params=None) -> TimeDependentHamiltonian:
     T = float(T)
 
     if kind == "constant":
-        if "matrix" in params:
-            H0 = hermitize(params["matrix"], context="H0")
-        else:
-            rng = np.random.default_rng(params.get("seed", 0))
-            H0 = _random_hermitian(n, rng)
+        rng = np.random.default_rng(params.get("seed", 0))
+        H0 = _random_hermitian(n, rng) if "matrix" not in params else hermitize(
+            params["matrix"], context="H0"
+        )
+        if H0.shape != (n, n):
+            raise ArgumentError(f"matrix has shape {H0.shape}, expected {(n, n)}")
         params["matrix"] = H0
         model = SyntheticModel("constant", params)
         m = max(0.0, -float(np.linalg.eigvalsh(H0)[0]))
-        return TimeDependentHamiltonian(
-            n, lambda t: H0, (0.0, T), Semibound(m),
-            derivative_fn=lambda t: np.zeros_like(H0),
-            second_derivative_fn=lambda t: np.zeros_like(H0),
-            label="constant", source=model,
-        )
+        return AffineHamiltonian(H0, (), (0.0, T), Semibound(m), label="constant", source=model)
 
     if kind == "commuting_diagonal":
         offsets = np.asarray(params.get("offsets", np.zeros(n)), dtype=float)
@@ -481,15 +501,11 @@ def synthetic_family(kind, n, T, params=None) -> TimeDependentHamiltonian:
         model = SyntheticModel("commuting_diagonal", params)
         endpoints = np.concatenate([offsets, offsets + rates * T])
         m = max(0.0, -float(endpoints.min()))
-        return TimeDependentHamiltonian(
-            n,
-            lambda t: np.diag(offsets + rates * t).astype(complex),
-            (0.0, T),
-            Semibound(m),
-            derivative_fn=lambda t: np.diag(rates).astype(complex),
-            second_derivative_fn=lambda t: np.zeros((n, n), dtype=complex),
-            label="commuting_diagonal",
-            source=model,
+        # f(t) = t, with f' = 1 and f'' = 0.
+        slope = (lambda t: t, lambda t: 1.0, lambda t: 0.0)
+        return AffineHamiltonian(
+            np.diag(offsets), [(np.diag(rates), slope)], (0.0, T), Semibound(m),
+            label="commuting_diagonal", source=model,
         )
 
     if kind == "rotating_frame":

@@ -19,7 +19,7 @@ residuals of trajectories, norm conservation, and the convergence of the
 resolvent-regularized dynamics as ``n`` grows.
 
 Tables are immutable once built.  Steps are evaluated in blocks of
-:data:`forms.BLOCK`: each block's nodes are stacked through
+:data:`forms.BLOCK_ENTRIES` matrix entries: each block's nodes are stacked by
 :meth:`TimeDependentHamiltonian.stack` and exponentiated by batched
 eigensolves, and only the composition ``U[j+1] = E_j U[j]`` is sequential.
 """
@@ -133,7 +133,7 @@ class PropagatorTable:
 def _finish_table(s, times, U, method, params):
     defects = np.empty(U.shape[0])
     eye = np.eye(U.shape[-1])
-    for block in blocks(U.shape[0]):
+    for block in blocks(U.shape[0], U.shape[-1]):
         # A diverged expansion overflows here; it is reported below, not warned.
         with np.errstate(over="ignore", invalid="ignore"):
             G = U[block].conj().swapaxes(-1, -2) @ U[block] - eye
@@ -175,7 +175,7 @@ def reference_propagator(tdh, s, t, substeps, scheme="magnus2") -> PropagatorTab
     times = np.linspace(float(s), float(t), substeps + 1)
     U = np.empty((substeps + 1, tdh.dim, tdh.dim), dtype=complex)
     U[0] = np.eye(tdh.dim)
-    for block in blocks(substeps):
+    for block in blocks(substeps, tdh.dim):
         a, b = times[:-1][block], times[1:][block]
         dt, mid = b - a, 0.5 * (a + b)
         if scheme == "magnus2":
@@ -425,7 +425,7 @@ def weak_residual(tdh, trajectory, test_vectors, scale=None) -> ResidualReport:
     mids = 0.5 * (times[:-1] + times[1:])
     mid_states = 0.5 * (states[:-1] + states[1:])
     residuals = np.diff(states, axis=0) / steps[0]
-    for block in blocks(mids.size):
+    for block in blocks(mids.size, tdh.dim):
         residuals[block] += 1j * (tdh.stack(mids[block]) @ mid_states[block, :, None])[..., 0]
     weak_local = np.empty(mids.size)
     strong_h = np.empty(mids.size)

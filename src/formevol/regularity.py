@@ -16,10 +16,10 @@ exist for a family ``H(t)`` with a fixed form domain:
   smoothness; the moduli are numerical evidence, reported with explicit
   thresholds, never a proof.
 
-The grid is evaluated in fixed blocks of points (:data:`forms.BLOCK`): each
-block is stacked and goes through batched LAPACK calls and products, which
-treat every slice exactly as a one-point call would, while the block bounds
-the temporaries.  Reports are sorted by time.
+The grid is evaluated in blocks of :data:`forms.BLOCK_ENTRIES` matrix entries:
+each block is stacked and goes through batched LAPACK calls and products,
+which treat every slice exactly as a one-point call would, while the block
+bounds the temporaries.  Reports are sorted by time.
 """
 
 from __future__ import annotations
@@ -160,11 +160,6 @@ def _derivative_stack(tdh, grid, order, h=None, allow_fd=True):
     return 0.5 * (D2 + D2.conj().swapaxes(-1, -2))
 
 
-def _shifted_stack(tdh, grid):
-    """``A(t) = H(t) + (m + 1) I`` at every grid time, stacked."""
-    return _derivative_stack(tdh, grid, 0) + (tdh.semibound.m + 1.0) * np.eye(tdh.dim)
-
-
 def _require_positive(lowest, times):
     """Raise at the first time whose shifted form is not positive definite."""
     bad = np.flatnonzero(lowest <= 0.0)
@@ -189,8 +184,8 @@ def s1_pencil_profile(tdh, grid, t0=None):
 def _pencil_extremes(tdh, grid, A_ref):
     """Smallest and largest eigenvalues of the pencil ``(A(t), A_ref)`` on the grid."""
     lo, hi = np.empty((2, grid.size))
-    for block in blocks(grid.size):
-        w = scipy.linalg.eigh(_shifted_stack(tdh, grid[block]), A_ref, eigvals_only=True)
+    for block in blocks(grid.size, tdh.dim):
+        w = scipy.linalg.eigh(tdh.shifted(grid[block]), A_ref, eigvals_only=True)
         _require_positive(w[:, 0], grid[block])
         lo[block], hi[block] = w[:, 0], w[:, -1]
     return lo, hi
@@ -223,9 +218,9 @@ def s2_profile(tdh, grid, fd_step=None, allow_fd=True):
     """
     grid = _check_grid(tdh, grid)
     direct, dual = np.empty((2, grid.size))
-    for block in blocks(grid.size):
+    for block in blocks(grid.size, tdh.dim):
         Hdot = _derivative_stack(tdh, grid[block], 1, h=fd_step, allow_fd=allow_fd)
-        w, Q = np.linalg.eigh(_shifted_stack(tdh, grid[block]))
+        w, Q = np.linalg.eigh(tdh.shifted(grid[block]))
         _require_positive(w[:, 0], grid[block])
         w, Qh = w[:, None, :], Q.conj().swapaxes(-1, -2)
         inv_sqrt = (Q * (1.0 / np.sqrt(w))) @ Qh
@@ -262,7 +257,7 @@ def _sandwiched_stack(tdh, grid, order, t0=None, allow_fd=True):
     t_ref = tdh.t_span[0] if t0 is None else float(t0)
     inv_sqrt = tdh.scale_at(t_ref).power_matrix(-0.5)
     W = np.empty((grid.size, tdh.dim, tdh.dim), dtype=complex)
-    for block in blocks(grid.size):
+    for block in blocks(grid.size, tdh.dim):
         S = inv_sqrt @ _derivative_stack(tdh, grid[block], order, allow_fd=allow_fd) @ inv_sqrt
         W[block] = 0.5 * (S + S.conj().swapaxes(-1, -2))
     return W
@@ -509,7 +504,7 @@ def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9, allow_fd=True) -
     k2_local[1:] = hermitian_spectral_norm(W[1:] - W[:-1])
 
     lambda_min = np.empty(grid.size)
-    for block in blocks(grid.size):
+    for block in blocks(grid.size, tdh.dim):
         lambda_min[block] = np.linalg.eigvalsh(_derivative_stack(tdh, grid[block], 0))[:, 0]
 
     return AssumptionReport(

@@ -266,8 +266,7 @@ def run_audit(cfg: ExperimentConfig, outdir, grid_refine=0):
             + 1j * rng.standard_normal((cfg.audit.rayleigh_samples, tdh.dim))
         denom = np.real(np.einsum("va,va->v", samples.conj() @ A0, samples))
         worst = 0.0
-        for t in grid[:: max(1, grid.size // 32)]:
-            At = tdh.shifted(t)
+        for At in tdh.shifted(grid[:: max(1, grid.size // 32)]):
             num = np.real(np.einsum("va,va->v", samples.conj() @ At, samples))
             worst = max(worst, float(np.max(num / denom)), float(np.max(denom / num)))
         summary["rayleigh_max_ratio"] = worst
@@ -428,21 +427,13 @@ def run_spectrum(cfg: ExperimentConfig, outdir, grid_refine=0):
     tdh = build_model(cfg)
     points = (cfg.audit.grid_points - 1) * 2**grid_refine + 1
     grid = uniform_grid(0.0, cfg.model.T, points)
-    rows = []
-    levels = {}
-    for tj in grid:
-        evals = spectrum(tdh, tj)
-        for idx, lam in enumerate(evals):
-            rows.append((tj, idx, float(lam)))
-            levels.setdefault(idx, []).append(float(lam))
+    evals = spectrum(tdh, grid)
+    rows = [(tj, idx, float(lam)) for tj, row in zip(grid, evals) for idx, lam in enumerate(row)]
     outputs = []
     write_csv(os.path.join(outdir, "spectrum.csv"), ["t", "index", "eigenvalue"], rows)
     outputs.append("spectrum.csv")
 
-    series = {
-        f"level_{idx:03d}": (grid, np.asarray(vals))
-        for idx, vals in sorted(levels.items())
-    }
+    series = {f"level_{idx:03d}": (grid, evals[:, idx]) for idx in range(evals.shape[1])}
     emit_plotdata([(config_hash(cfg), series)], os.path.join(outdir, "plotdata.csv"))
     outputs.append("plotdata.csv")
     _write_effective_config(cfg, outdir, outputs)

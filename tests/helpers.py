@@ -5,8 +5,14 @@ import math
 import numpy as np
 import scipy.linalg
 
-from formevol import HilbertScale, Semibound, TimeDependentHamiltonian, build_scale
-from formevol.forms import hermitian_spectral_norm, hermitize
+from formevol import (
+    CircleDeltaModel,
+    HilbertScale,
+    Semibound,
+    TimeDependentHamiltonian,
+    build_scale,
+)
+from formevol.forms import blocks, hermitian_spectral_norm, hermitize
 from formevol.propagators import _CF4_C, _CF4_D, _node_count, _simplex_term
 from formevol.regularity import _fd_derivative
 
@@ -27,6 +33,60 @@ def random_scale(rng, n, spread=2.0) -> HilbertScale:
 def random_unit_vector(rng, n):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
+
+
+def block_size(dim):
+    """Slices per block of ``dim x dim`` matrices, read off ``forms.blocks``."""
+    return blocks(1, dim)[0].stop
+
+
+# ---------------------------------------------------------------------------
+# Per-time callables of the affine model kinds.  The library stacks these
+# families by one broadcast of scalar coefficients; the callables are the
+# per-time matrices the models were built from before, and the stacks must
+# equal them, symmetrized, bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_callables(tdh):
+    """``(H, dH/dt, d2H/dt2)`` per-time callables of a circle, ``constant`` or
+    ``commuting_diagonal`` family; ``None`` for a derivative it does not offer."""
+    model = tdh.source
+    if isinstance(model, CircleDeltaModel):
+        kinetic = np.diag(model.mode_numbers**2.0).astype(complex)
+        ones = np.ones((model.dim, model.dim), dtype=complex)
+        a = model.alpha
+        return (
+            lambda t: kinetic + (a.value(t) / (2.0 * math.pi)) * ones,
+            (lambda t: (a.derivative(t) / (2.0 * math.pi)) * ones) if a.has_derivative else None,
+            (lambda t: (a.second_derivative(t) / (2.0 * math.pi)) * ones)
+            if a.has_second_derivative
+            else None,
+        )
+    if model.kind == "constant":
+        H0 = model.params["matrix"]
+        return lambda t: H0, lambda t: np.zeros_like(H0), lambda t: np.zeros_like(H0)
+    if model.kind == "commuting_diagonal":
+        offsets, rates = model.params["offsets"], model.params["rates"]
+        n = offsets.size
+        return (
+            lambda t: np.diag(offsets + rates * t).astype(complex),
+            lambda t: np.diag(rates).astype(complex),
+            lambda t: np.zeros((n, n), dtype=complex),
+        )
+    raise ValueError(f"no reference callables for {tdh!r}")
+
+
+def generic_twin(tdh):
+    """The same family on the generic per-time callable path of
+    ``TimeDependentHamiltonian``; a family already on it is returned as is."""
+    if type(tdh) is TimeDependentHamiltonian:
+        return tdh
+    fn, d1, d2 = reference_callables(tdh)
+    return TimeDependentHamiltonian(
+        tdh.dim, fn, tdh.t_span, tdh.semibound, derivative_fn=d1, second_derivative_fn=d2,
+        label=tdh.label, source=tdh.source,
+    )
 
 
 def brute_force_k2_moduli(W, grid):

@@ -7,10 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from formevol import ConfigError
+from formevol import AffineHamiltonian, ConfigError, runs
 from formevol.cli import main
 from formevol.config import config_hash, default_config, parse_config, serialize_config
 from formevol.runs import emit_plotdata, run_audit, run_convergence, run_propagation
+
+from helpers import generic_twin
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 MINIMAL = """
 [model]
@@ -280,7 +284,7 @@ class TestCli:
     def test_diverged_dyson_expansion_is_a_named_numerical_error(self, tmp_path, capsys):
         # configs/propagate_circle.ini with method = dyson, order = 4, at 64
         # steps instead of 512: dt * |H| ~ 25, so the truncated series blows up.
-        text = (Path(__file__).parents[1] / "configs" / "propagate_circle.ini").read_text()
+        text = (CONFIGS / "propagate_circle.ini").read_text()
         text = text.replace("steps = 512", "steps = 64")
         cfg = self._write(tmp_path, text.replace("method = magnus2", "method = dyson\norder = 4"))
         with warnings.catch_warnings():
@@ -290,3 +294,37 @@ class TestCli:
         assert code == 2
         assert "unitarity defect is not finite at t = " in err
         assert "truncated expansion diverged" in err and "raise substeps" in err
+
+
+class TestAffinePathArtifacts:
+    """The affine model form changes no artifact: every subcommand on a shipped
+    config writes the same bytes as with its model on the generic per-time path."""
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("audit", "audit_circle.ini"),
+            ("propagate", "propagate_circle.ini"),
+            ("converge", "converge_circle.ini"),
+            ("spectrum", "audit_circle.ini"),
+        ],
+    )
+    def test_same_bytes_as_the_generic_path(self, tmp_path, monkeypatch, command, config):
+        args = [command, "--config", str(CONFIGS / config), "--out"]
+        assert main(args + [str(tmp_path / "affine")]) == 0
+        build = runs.build_model
+
+        def build_generic(cfg):
+            tdh = build(cfg)
+            assert isinstance(tdh, AffineHamiltonian)
+            return generic_twin(tdh)
+
+        monkeypatch.setattr(runs, "build_model", build_generic)
+        assert main(args + [str(tmp_path / "generic")]) == 0
+        names = sorted(os.listdir(tmp_path / "affine"))
+        assert names == sorted(os.listdir(tmp_path / "generic"))
+        for name in names:
+            if name == "run_record.json":  # the one artifact carrying timing
+                continue
+            affine, generic = (tmp_path / side / name for side in ("affine", "generic"))
+            assert affine.read_bytes() == generic.read_bytes(), name

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from formevol import (
+    AffineHamiltonian,
     ArgumentError,
     CircleDeltaModel,
     NotHermitianError,
@@ -17,13 +20,15 @@ from formevol import (
     synthetic_family,
 )
 
+from helpers import generic_twin, reference_callables
+
 TWO_PI = 2.0 * math.pi
 
 
 class TestAlphaProfiles:
     def test_constant(self):
         prof = alpha_profile("constant", value=1.0)
-        assert prof.sup_abs(0.0, 5.0) == 1.0
+        assert prof.min_value(0.0, 5.0) == 1.0
         assert prof.derivative(2.0) == 0.0
 
     def test_kink_jump(self):
@@ -205,8 +210,7 @@ def skewing_family(t_star=0.5):
 class TestStack:
     def test_slices_are_the_symmetrized_callables(self):
         tdh = circle_delta_model(2, alpha_profile("polynomial", coeffs=[0.5, -1.0, 2.0]), 1.0)
-        model = tdh.source
-        callables = (model.matrix, model.derivative_matrix, model.second_derivative_matrix)
+        callables = reference_callables(tdh)
         one_time = (tdh, tdh.derivative, tdh.second_derivative)
         grid = np.linspace(0.0, 1.0, 37)
         for order, fn in enumerate(callables):
@@ -246,3 +250,84 @@ class TestStack:
         assert table.stack([0.2], 1) is None and table.derivative(0.2) is None
         with pytest.raises(ArgumentError):
             table.stack([0.2], 3)
+
+
+#: Circle profiles of every kind with a derivative path: analytic to order 2,
+#: to order 1 only (kink, rough_c0) and none (table).
+AFFINE_PROFILES = {
+    "sin": alpha_profile("trigonometric", amplitude=-1.7, frequency=2.0, phase=0.4, offset=0.3),
+    "polynomial": alpha_profile("polynomial", coeffs=[0.5, -1.0, 0.3, 0.05]),
+    "kink": alpha_profile("kink", center=0.5, amplitude=-1.5, offset=0.2),
+    "rough_c0": alpha_profile("rough_c0", amplitude=2.0, scale=1.0),
+    "table": alpha_profile("table", times=[0.0, 0.3, 0.7, 1.0], values=[0.0, 1.5, -0.5, 0.3]),
+}
+
+
+def assert_stacks_match_callables(tdh, grid):
+    """Orders 0-2: the affine stack equals the generic per-time path, or both are None."""
+    twin = generic_twin(tdh)
+    assert type(twin) is TimeDependentHamiltonian
+    for order, fn in enumerate(reference_callables(tdh)):
+        stack, expected = tdh.stack(grid, order), twin.stack(grid, order)
+        assert (stack is None) == (fn is None) == (expected is None)
+        if fn is not None:
+            assert stack.shape == (grid.size, tdh.dim, tdh.dim)
+            assert np.array_equal(stack, expected)
+
+
+class TestAffineStack:
+    """The affine families stacked by one broadcast equal their per-time callables."""
+
+    # 0 (rough_c0's special case) and 0.5 (the kink's corner) are on the grid.
+    GRID = np.linspace(0.0, 1.0, 41)
+
+    @pytest.mark.parametrize("profile", sorted(AFFINE_PROFILES))
+    def test_circle_profiles(self, profile):
+        tdh = circle_delta_model(3, AFFINE_PROFILES[profile], 1.0)
+        assert isinstance(tdh, AffineHamiltonian)
+        assert_stacks_match_callables(tdh, self.GRID)
+        assert tdh.has_derivative == (profile != "table")
+        assert (tdh.second_derivative(0.5) is None) == (profile not in ("sin", "polynomial"))
+
+    @pytest.mark.parametrize(
+        "params",
+        [None, {"offsets": [-2.0, 0.5, 1.25], "rates": [-3.0, 0.0, 7.5]}],
+    )
+    def test_commuting_diagonal(self, params):
+        tdh = synthetic_family("commuting_diagonal", 3, 1.0, params)
+        assert_stacks_match_callables(tdh, self.GRID)
+
+    @pytest.mark.parametrize("params", [{"seed": 4}, {"matrix": [[1.0, 2.0j], [-2.0j, -3.0]]}])
+    def test_constant(self, params):
+        tdh = synthetic_family("constant", 2, 1.0, params)
+        assert_stacks_match_callables(tdh, self.GRID)
+
+    def test_non_hermitian_term_is_refused_at_construction(self):
+        coefficient = (math.sin, math.cos, None)
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NotHermitianError, match="B_1"):
+            AffineHamiltonian(np.eye(2), [(np.eye(2), coefficient), (skew, coefficient)],
+                              (0.0, 1.0), Semibound(0.0))
+        with pytest.raises(ArgumentError, match="B_0 has shape"):
+            AffineHamiltonian(np.eye(2), [(np.eye(3), coefficient)], (0.0, 1.0), Semibound(0.0))
+
+    def test_a_missing_coefficient_derivative_withdraws_that_order(self):
+        tdh = AffineHamiltonian(
+            np.diag([1.0, 2.0]),
+            [(np.eye(2), (math.sin, math.cos, None)), (np.ones((2, 2)), (math.cos, None, None))],
+            (0.0, 1.0), Semibound(0.0),
+        )
+        assert not tdh.has_derivative and tdh.second_derivative(0.5) is None
+        assert tdh.stack([0.5], 1) is None and tdh.derivative(0.5) is None
+        expected = np.diag([1.0, 2.0]) + math.sin(0.5) * np.eye(2) + math.cos(0.5) * np.ones((2, 2))
+        assert np.allclose(tdh(0.5), expected, rtol=1e-15, atol=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+        st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
+    )
+    def test_circle_parameter_space(self, K, amplitude, phase):
+        prof = alpha_profile("trigonometric", amplitude=amplitude, phase=phase)
+        assert_stacks_match_callables(circle_delta_model(K, prof, TWO_PI), np.linspace(0, TWO_PI, 9))

@@ -30,7 +30,7 @@ from formevol import (
 )
 from formevol.regularity import _pencil_extremes, _sandwiched_stack
 
-from helpers import brute_force_k2_moduli, random_hermitian, reference_audit_profiles
+from helpers import block_size, brute_force_k2_moduli, random_hermitian, reference_audit_profiles
 
 TWO_PI = 2.0 * math.pi
 
@@ -427,16 +427,18 @@ def _circle(K, kind, T=TWO_PI, **params):
 #: Audited families: (builder, K2 order, reference time).  Together they take
 #: every derivative path: analytic, finite differences of H (table, order 1),
 #: of the analytic first derivative (rough_c0, order 2), and none (order 0).
+#: Dimensions 33 (circles), 28 and 30 put 30 to 41 grid points in a block, so
+#: every grid of the test crosses a block edge.
 BATCHED_FAMILIES = {
-    "circle_sin": (_circle(5, "trigonometric", amplitude=1.3, phase=0.2), 1, None),
-    "kink": (_circle(4, "kink", center=math.pi), 1, None),
+    "circle_sin": (_circle(16, "trigonometric", amplitude=1.3, phase=0.2), 1, None),
+    "kink": (_circle(16, "kink", center=math.pi), 1, None),
     "table": (
-        _circle(3, "table", times=[0.0, 1.0, 2.5, TWO_PI], values=[0.0, 1.5, -0.5, 0.3]), 1, None
+        _circle(16, "table", times=[0.0, 1.0, 2.5, TWO_PI], values=[0.0, 1.5, -0.5, 0.3]), 1, None
     ),
-    "polynomial": (_circle(4, "polynomial", T=3.0, coeffs=[0.5, -1.0, 0.3, 0.05]), 2, None),
-    "rough_c0": (_circle(4, "rough_c0", scale=1.0), 2, None),
-    "rotating_frame": (lambda: synthetic_family("rotating_frame", 6, 1.0, {"seed": 2}), 0, 0.25),
-    "commuting_diagonal": (lambda: synthetic_family("commuting_diagonal", 5, 1.0), 1, None),
+    "polynomial": (_circle(16, "polynomial", T=3.0, coeffs=[0.5, -1.0, 0.3, 0.05]), 2, None),
+    "rough_c0": (_circle(16, "rough_c0", scale=1.0), 2, None),
+    "rotating_frame": (lambda: synthetic_family("rotating_frame", 28, 1.0, {"seed": 2}), 0, 0.25),
+    "commuting_diagonal": (lambda: synthetic_family("commuting_diagonal", 30, 1.0), 1, None),
 }
 
 
@@ -455,6 +457,8 @@ class TestBatchedGrid:
             assert grid.size == 43
         else:
             grid = uniform_grid(start, stop, int(grid_kind.split("_")[1]))
+        b = block_size(tdh.dim)
+        assert b < grid.size and grid.size % b  # a partial block after a full one
         ref = reference_audit_profiles(tdh, grid, order, t0)
         report = bridge_check(tdh, grid, t0=t0, k2_order=order)
         keys = ("pencil_min", "pencil_max", "s2_local", "s2_local_alt", "lambda_min", "k2_local")
@@ -482,13 +486,14 @@ class TestBatchedGrid:
 
 
 def failing_semibound_family():
-    """``A(t) = (2 - 3t) I``: the claimed semibound 0 fails from ``t = 2/3`` on."""
+    """``A(t) = (2 - 3t) I`` at d = 33: the claimed semibound 0 fails from ``t = 2/3`` on."""
+    eye = np.eye(33, dtype=complex)
     return TimeDependentHamiltonian(
-        2,
-        lambda t: (1.0 - 3.0 * t) * np.eye(2, dtype=complex),
+        33,
+        lambda t: (1.0 - 3.0 * t) * eye,
         (0.0, 1.0),
         Semibound(0.0),
-        derivative_fn=lambda t: -3.0 * np.eye(2, dtype=complex),
+        derivative_fn=lambda t: -3.0 * eye,
     )
 
 
@@ -498,8 +503,11 @@ class TestErrorPaths:
         grid = uniform_grid(0.0, 1.0, 81)
         first = np.flatnonzero(2.0 - 3.0 * grid <= 0.0)[0]
         assert first == 54  # in the second block, with failures after it
+        tdh = failing_semibound_family()
+        b = block_size(tdh.dim)
+        assert b <= first < 2 * b < grid.size
         with pytest.raises(NotPositiveDefiniteError) as info:
-            audit(failing_semibound_family(), grid)
+            audit(tdh, grid)
         assert f"(A({grid[first]}))" in str(info.value)
         assert info.value.lambda_min < 0.0
 
