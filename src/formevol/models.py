@@ -75,10 +75,6 @@ class AlphaProfile:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _trigonometric(self):
-        p = self.params
-        return p.get("amplitude", 1.0), p.get("frequency", 1.0), p.get("phase", 0.0)
-
     def value(self, t) -> float:
         k, p = self.kind, self.params
         if k == "constant":
@@ -86,7 +82,9 @@ class AlphaProfile:
         if k == "polynomial":
             return float(np.polynomial.polynomial.polyval(t, p["coeffs"]))
         if k == "trigonometric":
-            a, w, ph = self._trigonometric()
+            a = p.get("amplitude", 1.0)
+            w = p.get("frequency", 1.0)
+            ph = p.get("phase", 0.0)
             return float(a * math.sin(w * t + ph) + p.get("offset", 0.0))
         if k == "kink":
             a = p.get("amplitude", 1.0)
@@ -116,7 +114,9 @@ class AlphaProfile:
             d = np.polynomial.polynomial.polyder(np.asarray(p["coeffs"], dtype=float))
             return float(np.polynomial.polynomial.polyval(t, d))
         if k == "trigonometric":
-            a, w, ph = self._trigonometric()
+            a = p.get("amplitude", 1.0)
+            w = p.get("frequency", 1.0)
+            ph = p.get("phase", 0.0)
             return float(a * w * math.cos(w * t + ph))
         if k == "kink":
             # Bounded a.e. derivative; the corner itself reports 0.
@@ -138,7 +138,9 @@ class AlphaProfile:
             d2 = np.polynomial.polynomial.polyder(c, 2)
             return float(np.polynomial.polynomial.polyval(t, d2))
         if k == "trigonometric":
-            a, w, ph = self._trigonometric()
+            a = p.get("amplitude", 1.0)
+            w = p.get("frequency", 1.0)
+            ph = p.get("phase", 0.0)
             return float(-a * w * w * math.sin(w * t + ph))
         raise ArgumentError(f"profile kind {k!r} offers no second derivative")
 
@@ -158,6 +160,11 @@ class AlphaProfile:
             candidates.extend(np.asarray(self.params["values"], dtype=float)[inside])
             return float(min(candidates))
         return float(self._scan(t0, t1, self.value).min())
+
+    def sup_abs(self, t0, t1) -> float:
+        if self.kind == "constant":
+            return abs(self.value(t0))
+        return float(np.abs(self._scan(t0, t1, self.value)).max())
 
 
 def alpha_profile(kind, **params) -> AlphaProfile:
@@ -230,6 +237,10 @@ class TimeDependentHamiltonian:
     @property
     def has_derivative(self) -> bool:
         return self._fns[1] is not None
+
+    @property
+    def has_second_derivative(self) -> bool:
+        return self._fns[2] is not None
 
     def derivative(self, t):
         return None if self._fns[1] is None else self.stack([t], 1)[0]
@@ -329,7 +340,8 @@ class CircleDeltaModel:
         return np.arange(-self.K, self.K + 1)
 
     def matrix(self, t) -> np.ndarray:
-        return np.diag(self.mode_numbers**2.0) + self.alpha.value(t) / TWO_PI
+        """``H(t)``: the slice at ``t`` of the affine family that runs evaluate."""
+        return self.to_hamiltonian()(t)
 
     # -- symmetry-adapted spectrum --------------------------------------------
 
@@ -481,10 +493,11 @@ def synthetic_family(kind, n, T, params=None) -> TimeDependentHamiltonian:
     T = float(T)
 
     if kind == "constant":
-        rng = np.random.default_rng(params.get("seed", 0))
-        H0 = _random_hermitian(n, rng) if "matrix" not in params else hermitize(
-            params["matrix"], context="H0"
-        )
+        if "matrix" in params:
+            H0 = hermitize(params["matrix"], context="H0")
+        else:
+            rng = np.random.default_rng(params.get("seed", 0))
+            H0 = _random_hermitian(n, rng)
         if H0.shape != (n, n):
             raise ArgumentError(f"matrix has shape {H0.shape}, expected {(n, n)}")
         params["matrix"] = H0

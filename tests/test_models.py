@@ -28,7 +28,7 @@ TWO_PI = 2.0 * math.pi
 class TestAlphaProfiles:
     def test_constant(self):
         prof = alpha_profile("constant", value=1.0)
-        assert prof.min_value(0.0, 5.0) == 1.0
+        assert prof.sup_abs(0.0, 5.0) == 1.0
         assert prof.derivative(2.0) == 0.0
 
     def test_kink_jump(self):

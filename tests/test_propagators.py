@@ -459,53 +459,44 @@ class TestYosidaConvergence:
 
 
 class TestUnitarityDefects:
-    # b is the block size at the dimension: every table crosses a block edge.
     @pytest.mark.parametrize(
         "build",
         [
-            lambda tdh, b: reference_propagator(tdh, 0.0, 1.0, b + 10),
-            lambda tdh, b: reference_propagator(tdh, 0.0, 1.0, b + 3, scheme="magnus4"),
-            lambda tdh, b: dyson_propagator(tdh, 0.0, 0.1, 2, 2 * b + 10),
+            lambda tdh: reference_propagator(tdh, 0.0, 1.0, 40),
+            lambda tdh: reference_propagator(tdh, 0.0, 1.0, 33, scheme="magnus4"),
+            lambda tdh: dyson_propagator(tdh, 0.0, 1.0, 2, 70),
         ],
     )
-    def test_batched_defects_match_per_entry_loop(self, build):
+    def test_batched_defects_match_per_entry_loop(self, build, blocks_of_32):
         prof = alpha_profile("trigonometric", amplitude=1.0)
-        tdh = circle_delta_model(16, prof, TWO_PI)
-        table = build(tdh, block_size(tdh.dim))
+        tdh = circle_delta_model(3, prof, TWO_PI)
+        blocks_of_32(tdh.dim)
+        table = build(tdh)
         defects = table.diagnostics["unitarity_defect"]
         assert np.array_equal(defects, reference_unitarity_defects(table.matrices))
 
 
 def edge_substeps(tdh, first=1):
-    """Step counts around the edges of the step blocks at the family's dimension."""
+    """Step counts around the edges of the step blocks at the family's dimension:
+    (1, 31, 32, 33, 65) under ``blocks_of_32``."""
     b = block_size(tdh.dim)
     return (first, b - 1, b, b + 1, 2 * b + 1)
 
 
-#: Family builders taking a size, K of a circle or n of a synthetic family.
-#: The default dimensions, 33, 33, 33, 24 and 30, put 30 to 56 steps in a
-#: block, so the step counts of ``edge_substeps`` stay short.
 FAMILIES = {
-    "sin": lambda K=16: circle_delta_model(
-        K, alpha_profile("trigonometric", amplitude=1.5, phase=0.3), TWO_PI
+    "sin": lambda: circle_delta_model(
+        2, alpha_profile("trigonometric", amplitude=1.5, phase=0.3), TWO_PI
     ),
-    "kink": lambda K=16: circle_delta_model(
-        K, alpha_profile("kink", center=2.0, amplitude=1.0), TWO_PI
+    "kink": lambda: circle_delta_model(
+        2, alpha_profile("kink", center=2.0, amplitude=1.0), TWO_PI
     ),
-    "table": lambda K=16: circle_delta_model(
-        K, alpha_profile("table", times=[0.0, 2.0, 4.0, TWO_PI], values=[0.0, 1.0, -0.5, 0.3]),
+    "table": lambda: circle_delta_model(
+        2, alpha_profile("table", times=[0.0, 2.0, 4.0, TWO_PI], values=[0.0, 1.0, -0.5, 0.3]),
         TWO_PI,
     ),
-    "rotating_frame": lambda n=24: synthetic_family("rotating_frame", n, 2.0, {"seed": 5}),
-    "commuting_diagonal": lambda n=30: synthetic_family("commuting_diagonal", n, 1.0),
+    "rotating_frame": lambda: synthetic_family("rotating_frame", 4, 2.0, {"seed": 5}),
+    "commuting_diagonal": lambda: synthetic_family("commuting_diagonal", 3, 1.0),
 }
-
-#: Dyson runs at small sizes: at d = 33 the circle's norm makes the truncated
-#: expansion diverge unless the steps are tiny, and tiny steps take up to 128
-#: nodes per axis.  Dyson steps are not blocked (only ``_finish_table`` is,
-#: whose block edges the reference tables cross), so fixed step counts do.
-DYSON_SIZES = {"sin": 2, "table": 2, "rotating_frame": 4}
-DYSON_SUBSTEPS = (1, 31, 32, 33, 65)
 
 
 def assert_table_matches(table, reference):
@@ -520,8 +511,9 @@ class TestBatchedSteps:
 
     @pytest.mark.parametrize("scheme", ["magnus2", "magnus4"])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_reference_tables(self, family, scheme):
+    def test_reference_tables(self, family, scheme, blocks_of_32):
         tdh = FAMILIES[family]()
+        blocks_of_32(tdh.dim)
         t1 = tdh.t_span[1]
         for substeps in edge_substeps(tdh):
             table = reference_propagator(tdh, 0.0, t1, substeps, scheme=scheme)
@@ -529,8 +521,9 @@ class TestBatchedSteps:
 
     @pytest.mark.parametrize("n", [4, 64])
     @pytest.mark.parametrize("family", ["sin", "kink", "rotating_frame"])
-    def test_yosida_tables(self, family, n):
+    def test_yosida_tables(self, family, n, blocks_of_32):
         tdh = FAMILIES[family]()
+        blocks_of_32(tdh.dim)
         t1 = tdh.t_span[1]
         per_time = reference_yosida_family(tdh, n)
         for scheme in ("magnus2", "magnus4"):
@@ -540,19 +533,21 @@ class TestBatchedSteps:
                 assert_table_matches(table, reference_table(per_time, 0.0, t1, substeps, scheme))
 
     @pytest.mark.parametrize("yosida_n", [None, 8])
-    @pytest.mark.parametrize("family", sorted(DYSON_SIZES))
-    def test_dyson_tables(self, family, yosida_n):
-        tdh = FAMILIES[family](DYSON_SIZES[family])
+    @pytest.mark.parametrize("family", ["sin", "table", "rotating_frame"])
+    def test_dyson_tables(self, family, yosida_n, blocks_of_32):
+        tdh = FAMILIES[family]()
+        blocks_of_32(tdh.dim)
         t1 = tdh.t_span[1]
         for order in (2, 4):
-            for substeps in DYSON_SUBSTEPS:
+            for substeps in edge_substeps(tdh):
                 table = dyson_propagator(tdh, 0.0, t1, order, substeps, yosida_n=yosida_n)
                 reference = reference_dyson_table(tdh, 0.0, t1, order, substeps, yosida_n)
                 assert_table_matches(table, reference)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_weak_residual(self, family):
+    def test_weak_residual(self, family, blocks_of_32):
         tdh = FAMILIES[family]()
+        blocks_of_32(tdh.dim)
         scale = tdh.scale_at(tdh.t_span[0])
         test = np.eye(tdh.dim, dtype=complex)[:2]
         psi0 = random_unit_vector(np.random.default_rng(3), tdh.dim)

@@ -427,18 +427,16 @@ def _circle(K, kind, T=TWO_PI, **params):
 #: Audited families: (builder, K2 order, reference time).  Together they take
 #: every derivative path: analytic, finite differences of H (table, order 1),
 #: of the analytic first derivative (rough_c0, order 2), and none (order 0).
-#: Dimensions 33 (circles), 28 and 30 put 30 to 41 grid points in a block, so
-#: every grid of the test crosses a block edge.
 BATCHED_FAMILIES = {
-    "circle_sin": (_circle(16, "trigonometric", amplitude=1.3, phase=0.2), 1, None),
-    "kink": (_circle(16, "kink", center=math.pi), 1, None),
+    "circle_sin": (_circle(5, "trigonometric", amplitude=1.3, phase=0.2), 1, None),
+    "kink": (_circle(4, "kink", center=math.pi), 1, None),
     "table": (
-        _circle(16, "table", times=[0.0, 1.0, 2.5, TWO_PI], values=[0.0, 1.5, -0.5, 0.3]), 1, None
+        _circle(3, "table", times=[0.0, 1.0, 2.5, TWO_PI], values=[0.0, 1.5, -0.5, 0.3]), 1, None
     ),
-    "polynomial": (_circle(16, "polynomial", T=3.0, coeffs=[0.5, -1.0, 0.3, 0.05]), 2, None),
-    "rough_c0": (_circle(16, "rough_c0", scale=1.0), 2, None),
-    "rotating_frame": (lambda: synthetic_family("rotating_frame", 28, 1.0, {"seed": 2}), 0, 0.25),
-    "commuting_diagonal": (lambda: synthetic_family("commuting_diagonal", 30, 1.0), 1, None),
+    "polynomial": (_circle(4, "polynomial", T=3.0, coeffs=[0.5, -1.0, 0.3, 0.05]), 2, None),
+    "rough_c0": (_circle(4, "rough_c0", scale=1.0), 2, None),
+    "rotating_frame": (lambda: synthetic_family("rotating_frame", 6, 1.0, {"seed": 2}), 0, 0.25),
+    "commuting_diagonal": (lambda: synthetic_family("commuting_diagonal", 5, 1.0), 1, None),
 }
 
 
@@ -447,9 +445,10 @@ class TestBatchedGrid:
 
     @pytest.mark.parametrize("grid_kind", ["uniform_45", "uniform_70", "refined"])
     @pytest.mark.parametrize("family", sorted(BATCHED_FAMILIES))
-    def test_profiles_match_per_point_reference(self, family, grid_kind):
+    def test_profiles_match_per_point_reference(self, family, grid_kind, blocks_of_32):
         build, order, t0 = BATCHED_FAMILIES[family]
         tdh = build()
+        blocks_of_32(tdh.dim)
         start, stop = tdh.t_span
         if grid_kind == "refined":
             # 33 uniform points plus 10 refinements: no multiple of the block size
@@ -486,24 +485,24 @@ class TestBatchedGrid:
 
 
 def failing_semibound_family():
-    """``A(t) = (2 - 3t) I`` at d = 33: the claimed semibound 0 fails from ``t = 2/3`` on."""
-    eye = np.eye(33, dtype=complex)
+    """``A(t) = (2 - 3t) I``: the claimed semibound 0 fails from ``t = 2/3`` on."""
     return TimeDependentHamiltonian(
-        33,
-        lambda t: (1.0 - 3.0 * t) * eye,
+        2,
+        lambda t: (1.0 - 3.0 * t) * np.eye(2, dtype=complex),
         (0.0, 1.0),
         Semibound(0.0),
-        derivative_fn=lambda t: -3.0 * eye,
+        derivative_fn=lambda t: -3.0 * np.eye(2, dtype=complex),
     )
 
 
 class TestErrorPaths:
     @pytest.mark.parametrize("audit", [s1_pencil_profile, s2_profile, bridge_check])
-    def test_failed_semibound_names_first_failing_time(self, audit):
+    def test_failed_semibound_names_first_failing_time(self, audit, blocks_of_32):
         grid = uniform_grid(0.0, 1.0, 81)
         first = np.flatnonzero(2.0 - 3.0 * grid <= 0.0)[0]
         assert first == 54  # in the second block, with failures after it
         tdh = failing_semibound_family()
+        blocks_of_32(tdh.dim)
         b = block_size(tdh.dim)
         assert b <= first < 2 * b < grid.size
         with pytest.raises(NotPositiveDefiniteError) as info:
