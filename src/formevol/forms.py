@@ -53,14 +53,20 @@ def hermitize(M, rtol=HERMITICITY_RTOL, context=""):
 
 
 #: Matrix entries per batched LAPACK call or product over a time grid: bounds
-#: the temporaries whatever the dimension (30 slices at d = 33, 3640 at d = 3,
-#: and at least one slice).
+#: the temporaries whatever the dimension (30 slices at d = 33, and at least
+#: one slice).
 BLOCK_ENTRIES = 2**15
+#: Slices per block at most, which binds for d <= 11.  Without it a block at
+#: d = 3 holds 3,640 slices and each temporary a few hundred kilobytes, which
+#: glibc's malloc returns to the kernel and faults in again for the next
+#: block: ~1,200 page faults per perfbench ``converge`` job, ~1 with the cap.
+BLOCK_SLICES = 256
 
 
 def blocks(n, dim):
-    """Slices covering ``range(n)``, for blocks of :data:`BLOCK_ENTRIES` ``dim x dim`` entries."""
-    size = max(1, BLOCK_ENTRIES // (dim * dim))
+    """Slices covering ``range(n)``, for blocks of at most :data:`BLOCK_SLICES`
+    ``dim x dim`` matrices and :data:`BLOCK_ENTRIES` entries."""
+    size = max(1, min(BLOCK_SLICES, BLOCK_ENTRIES // (dim * dim)))
     return [slice(start, start + size) for start in range(0, n, size)]
 
 

@@ -18,10 +18,11 @@ time, identity at equal times, grid-level strong continuity), weak and strong
 residuals of trajectories, norm conservation, and the convergence of the
 resolvent-regularized dynamics as ``n`` grows.
 
-Tables are immutable once built.  Steps are evaluated in blocks of
-:data:`forms.BLOCK_ENTRIES` matrix entries: each block's nodes are stacked by
-:meth:`TimeDependentHamiltonian.stack` and exponentiated by batched
-eigensolves, and only the composition ``U[j+1] = E_j U[j]`` is sequential.
+Tables are immutable once built.  Steps are evaluated in the blocks of
+:func:`forms.blocks`, bounded in matrix entries and in steps: each block's
+nodes are stacked by :meth:`TimeDependentHamiltonian.stack` and
+exponentiated by batched eigensolves, and only the composition
+``U[j+1] = E_j U[j]`` is sequential.
 """
 
 from __future__ import annotations

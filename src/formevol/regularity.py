@@ -16,10 +16,10 @@ exist for a family ``H(t)`` with a fixed form domain:
   smoothness; the moduli are numerical evidence, reported with explicit
   thresholds, never a proof.
 
-The grid is evaluated in blocks of :data:`forms.BLOCK_ENTRIES` matrix entries:
-each block is stacked and goes through batched LAPACK calls and products,
-which treat every slice exactly as a one-point call would, while the block
-bounds the temporaries.  Reports are sorted by time.
+The grid is evaluated in the blocks of :func:`forms.blocks`, bounded in
+matrix entries and in points: each block is stacked and goes through batched
+LAPACK calls and products, which treat every slice exactly as a one-point
+call would, while the block bounds the temporaries.  Reports are sorted by time.
 """
 
 from __future__ import annotations

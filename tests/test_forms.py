@@ -15,7 +15,7 @@ from formevol import (
     represent_form,
     semibound_of,
 )
-from formevol.forms import hermitian_spectral_norm, hermitize
+from formevol.forms import blocks, hermitian_spectral_norm, hermitize
 from formevol.models import CircleDeltaModel, alpha_profile
 
 from helpers import random_hermitian, random_unit_vector
@@ -203,3 +203,15 @@ class TestHermitizeStack:
             hermitize(np.zeros((3, 2, 4)))
         with pytest.raises(ArgumentError):
             hermitize(np.zeros(4))
+
+
+class TestBlocks:
+    def test_blocks_cover_the_range_in_order(self):
+        for n, dim in [(0, 3), (1, 3), (257, 33), (1025, 3), (5, 200)]:
+            covered = [i for block in blocks(n, dim) for i in range(n)[block]]
+            assert covered == list(range(n))
+
+    def test_block_size_by_entries_and_by_slices(self):
+        assert blocks(100, 33)[0] == slice(0, 30)  # 2**15 // 33**2 entries
+        assert blocks(1025, 3)[0] == slice(0, 256)  # the slice cap binds
+        assert blocks(3, 200)[0] == slice(0, 1)  # at least one slice
