@@ -194,9 +194,6 @@ class ExperimentConfig:
     initial: SectionView
     output: SectionView
 
-    def section(self, name) -> SectionView:
-        return getattr(self, name)
-
 
 def _cross_validate(sections, errors):
     model = dict(sections["model"].values)

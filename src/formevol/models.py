@@ -14,6 +14,11 @@ Units: hbar = 1, 2 m_particle = 1, circle length ``2 pi``.
 Synthetic control families (constant, commuting diagonal, rotating frame)
 with closed-form propagators are provided for oracle testing.
 
+The circle and the constant and commuting-diagonal families are affine
+(:class:`AffineHamiltonian`): fixed matrices with real coefficients in time.
+The coefficients and the profiles ``alpha`` take a whole array of times, so
+stacking ``H`` on a grid calls each of them once, not once per time.
+
 Model objects are immutable specifications; their evaluation callables are
 pure and safe for concurrent invocation.
 """
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partialmethod
 
 import numpy as np
 import scipy.linalg as sla
@@ -34,8 +40,45 @@ TWO_PI = 2.0 * math.pi
 
 ALPHA_KINDS = ("constant", "polynomial", "trigonometric", "kink", "rough_c0", "table")
 
-#: Sample count for grid-based extrema of profiles without closed-form bounds.
+#: Samples for the grid-based minimum of profiles other than ``table``.
 _PROFILE_SCAN_POINTS = 4097
+
+
+def _profile_formulas(kind, p):
+    """``(alpha, alpha', alpha'')`` of a profile kind as numpy expressions in an
+    array of times, each of its shape; ``None`` for an order the kind lacks."""
+    if kind == "constant":
+        v = float(p.get("value", 0.0))
+        return lambda t: np.full_like(t, v), np.zeros_like, np.zeros_like
+    if kind == "polynomial":
+        P = np.polynomial.polynomial
+        c = np.asarray(p["coeffs"], dtype=float)
+        return tuple(lambda t, d=P.polyder(c, n): P.polyval(t, d) for n in range(3))
+    if kind == "trigonometric":
+        a, w = p.get("amplitude", 1.0), p.get("frequency", 1.0)
+        ph, off = p.get("phase", 0.0), p.get("offset", 0.0)
+        return (lambda t: a * np.sin(w * t + ph) + off,
+                lambda t: a * w * np.cos(w * t + ph),
+                lambda t: -a * w * w * np.sin(w * t + ph))
+    if kind == "kink":
+        # Bounded a.e. derivative; the corner itself reports 0.
+        a, c, off = p.get("amplitude", 1.0), p["center"], p.get("offset", 0.0)
+        return lambda t: a * np.abs(t - c) + off, lambda t: a * np.sign(t - c), None
+    if kind == "rough_c0":
+        a, s = p.get("amplitude", 1.0), p.get("scale", 1.0)
+
+        def zero_at_origin(f):
+            # f(t, s / t) away from t = 0, and 0 there, without dividing by 0.
+            return lambda t: np.where(t == 0.0, 0.0, f(t, s / np.where(t == 0.0, 1.0, t)))
+
+        return (zero_at_origin(lambda t, u: a * t * t * np.sin(u)),
+                zero_at_origin(lambda t, u: a * (2.0 * t * np.sin(u) - s * np.cos(u))), None)
+    times, values = (np.asarray(p.get(key, ()), dtype=float) for key in ("times", "values"))
+    if times.size < 2 or times.shape != values.shape:
+        raise ArgumentError("table profile needs matching times/values, >= 2 points")
+    if np.any(np.diff(times) <= 0):
+        raise ArgumentError("table profile times must be sorted and deduplicated")
+    return lambda t: np.interp(t, times, values), None, None
 
 
 @dataclass(frozen=True)
@@ -54,10 +97,15 @@ class AlphaProfile:
                        at 0 -- continuously differentiable nowhere near 0)
     ``table``          piecewise-linear through ``(times, values)``; no
                        derivative is offered
+
+    ``value``, ``derivative`` and ``second_derivative`` take a scalar time,
+    giving a float, or an array of times, giving an array of that shape.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
+    # By derivative order, the formula of each kind; None when not offered.
+    _formulas: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ALPHA_KINDS:
@@ -65,106 +113,39 @@ class AlphaProfile:
                 f"unknown alpha profile kind {self.kind!r}; "
                 f"expected one of {ALPHA_KINDS}"
             )
-        if self.kind == "table":
-            ts = np.asarray(self.params.get("times", ()), dtype=float)
-            vs = np.asarray(self.params.get("values", ()), dtype=float)
-            if ts.size < 2 or ts.shape != vs.shape:
-                raise ArgumentError("table profile needs matching times/values, >= 2 points")
-            if np.any(np.diff(ts) <= 0):
-                raise ArgumentError("table profile times must be sorted and deduplicated")
+        object.__setattr__(self, "_formulas", _profile_formulas(self.kind, self.params))
 
     # -- evaluation ----------------------------------------------------------
 
-    def value(self, t) -> float:
-        k, p = self.kind, self.params
-        if k == "constant":
-            return float(p.get("value", 0.0))
-        if k == "polynomial":
-            return float(np.polynomial.polynomial.polyval(t, p["coeffs"]))
-        if k == "trigonometric":
-            a = p.get("amplitude", 1.0)
-            w = p.get("frequency", 1.0)
-            ph = p.get("phase", 0.0)
-            return float(a * math.sin(w * t + ph) + p.get("offset", 0.0))
-        if k == "kink":
-            a = p.get("amplitude", 1.0)
-            return float(a * abs(t - p["center"]) + p.get("offset", 0.0))
-        if k == "rough_c0":
-            a = p.get("amplitude", 1.0)
-            s = p.get("scale", 1.0)
-            if t == 0.0:
-                return 0.0
-            return float(a * t * t * math.sin(s / t))
-        # table
-        return float(np.interp(t, p["times"], p["values"]))
+    def _evaluate(self, order, t):
+        fn = self._formulas[order]
+        if fn is None:
+            raise ArgumentError(
+                f"profile kind {self.kind!r} offers no {'second ' * (order == 2)}derivative"
+            )
+        t = np.asarray(t, dtype=float)
+        return float(fn(t)) if t.ndim == 0 else fn(t)
+
+    value = partialmethod(_evaluate, 0)
+    derivative = partialmethod(_evaluate, 1)
+    second_derivative = partialmethod(_evaluate, 2)
 
     @property
     def has_derivative(self) -> bool:
-        return self.kind != "table"
+        return self._formulas[1] is not None
 
     @property
     def has_second_derivative(self) -> bool:
-        return self.kind in ("constant", "polynomial", "trigonometric")
-
-    def derivative(self, t) -> float:
-        k, p = self.kind, self.params
-        if k == "constant":
-            return 0.0
-        if k == "polynomial":
-            d = np.polynomial.polynomial.polyder(np.asarray(p["coeffs"], dtype=float))
-            return float(np.polynomial.polynomial.polyval(t, d))
-        if k == "trigonometric":
-            a = p.get("amplitude", 1.0)
-            w = p.get("frequency", 1.0)
-            ph = p.get("phase", 0.0)
-            return float(a * w * math.cos(w * t + ph))
-        if k == "kink":
-            # Bounded a.e. derivative; the corner itself reports 0.
-            return float(p.get("amplitude", 1.0) * np.sign(t - p["center"]))
-        if k == "rough_c0":
-            a = p.get("amplitude", 1.0)
-            s = p.get("scale", 1.0)
-            if t == 0.0:
-                return 0.0
-            return float(a * (2.0 * t * math.sin(s / t) - s * math.cos(s / t)))
-        raise ArgumentError(f"profile kind {k!r} offers no derivative")
-
-    def second_derivative(self, t) -> float:
-        k, p = self.kind, self.params
-        if k == "constant":
-            return 0.0
-        if k == "polynomial":
-            c = np.asarray(p["coeffs"], dtype=float)
-            d2 = np.polynomial.polynomial.polyder(c, 2)
-            return float(np.polynomial.polynomial.polyval(t, d2))
-        if k == "trigonometric":
-            a = p.get("amplitude", 1.0)
-            w = p.get("frequency", 1.0)
-            ph = p.get("phase", 0.0)
-            return float(-a * w * w * math.sin(w * t + ph))
-        raise ArgumentError(f"profile kind {k!r} offers no second derivative")
-
-    # -- extrema over an interval ---------------------------------------------
-
-    def _scan(self, t0, t1, fn):
-        ts = np.linspace(t0, t1, _PROFILE_SCAN_POINTS)
-        return np.array([fn(t) for t in ts])
+        return self._formulas[2] is not None
 
     def min_value(self, t0, t1) -> float:
-        if self.kind == "constant":
-            return self.value(t0)
+        """Least value on ``[t0, t1]``: over the ends and the nodes inside for a
+        table, else over uniform samples."""
+        times = np.linspace(t0, t1, _PROFILE_SCAN_POINTS)
         if self.kind == "table":
-            ts = np.asarray(self.params["times"], dtype=float)
-            inside = (ts >= t0) & (ts <= t1)
-            candidates = [self.value(t0), self.value(t1)]
-            candidates.extend(np.asarray(self.params["values"], dtype=float)[inside])
-            return float(min(candidates))
-        return float(self._scan(t0, t1, self.value).min())
-
-    def sup_abs(self, t0, t1) -> float:
-        if self.kind == "constant":
-            return abs(self.value(t0))
-        return float(np.abs(self._scan(t0, t1, self.value)).max())
+            nodes = np.asarray(self.params["times"], dtype=float)
+            times = np.concatenate([[t0, t1], nodes[(nodes >= t0) & (nodes <= t1)]])
+        return float(self.value(times).min())
 
 
 def alpha_profile(kind, **params) -> AlphaProfile:
@@ -178,7 +159,8 @@ class TimeDependentHamiltonian:
     ``semibound`` must be uniform: ``lambda_min(H(t)) >= -m`` for all ``t``
     in the span.  :meth:`stack` evaluates ``H`` or an analytic derivative on
     a time grid; calling the object, ``derivative`` and ``second_derivative``
-    are its one-time slices.  Here stacks call per-time callables; see :class:`AffineHamiltonian`.
+    are its one-time slices.  Here stacks call per-time callables; see
+    :class:`AffineHamiltonian` for families whose coefficients take arrays.
 
     The evaluation callables must be pure; instances carry no mutable state,
     so they are safe for concurrent use.
@@ -238,10 +220,6 @@ class TimeDependentHamiltonian:
     def has_derivative(self) -> bool:
         return self._fns[1] is not None
 
-    @property
-    def has_second_derivative(self) -> bool:
-        return self._fns[2] is not None
-
     def derivative(self, t):
         return None if self._fns[1] is None else self.stack([t], 1)[0]
 
@@ -267,9 +245,11 @@ class TimeDependentHamiltonian:
 class AffineHamiltonian(TimeDependentHamiltonian):
     """``H(t) = H0 + sum_r f_r(t) B_r``, with ``terms`` the pairs ``(B_r, (f_r, f_r', f_r''))``.
 
-    A ``None`` derivative withdraws that order from the family.  ``H0`` and each
-    ``B_r`` are checked Hermitian once, here; a stack is one broadcast of the
-    scalar coefficients, evaluated one time at a time, over the fixed matrices.
+    Each coefficient callable takes the 1-d array of times and returns their
+    real values, or one scalar for all of them.  A ``None`` derivative
+    withdraws that order from the family.  ``H0`` and each ``B_r`` are checked
+    Hermitian once, here; a stack calls each coefficient once and broadcasts
+    it over the fixed matrices.
     """
 
     def __init__(self, H0, terms, t_span, semibound, label="", source=None):
@@ -291,7 +271,7 @@ class AffineHamiltonian(TimeDependentHamiltonian):
         times = np.asarray(times, dtype=float)
         out = np.zeros((times.size, self.dim, self.dim), dtype=complex)
         for r, (f, B) in enumerate(zip(coefficients, self.B)):
-            c = np.fromiter(map(f, times), float, times.size)[:, None, None]
+            c = np.broadcast_to(np.asarray(f(times), dtype=float), times.shape)[:, None, None]
             if r == 0:
                 np.multiply(c, B, out=out)
             else:
@@ -350,7 +330,7 @@ class CircleDeltaModel:
         ks = np.arange(0, self.K + 1, dtype=float)
         w = np.full(self.K + 1, math.sqrt(2.0))
         w[0] = 1.0
-        c = np.array([self.alpha.value(t) / TWO_PI for t in times])
+        c = self.alpha.value(times) / TWO_PI
         return np.diag(ks**2) + c[:, None, None] * np.outer(w, w)
 
     def symmetric_block(self, t) -> np.ndarray:

@@ -90,45 +90,58 @@ def _check_grid(tdh, grid):
 # ---------------------------------------------------------------------------
 
 
-def differentiate_form(tdh, t, h_step=None, richardson=True) -> np.ndarray:
+def differentiate_form(tdh, t, h_step=None) -> np.ndarray:
     """Central finite difference ``(H(t+h) - H(t-h)) / 2h``, symmetrized.
 
-    One Richardson extrapolation level is applied by default, giving
-    fourth-order accuracy for smooth families.  ``t - h`` and ``t + h`` must
-    both lie inside the span; steps below ``1e-8 * span`` are rejected as
-    underflow.
+    One Richardson extrapolation level is applied, giving fourth-order
+    accuracy for smooth families.  ``t - h`` and ``t + h`` must both lie
+    inside the span; steps below ``1e-8 * span`` are rejected as underflow.
     """
+    return _central_difference(tdh, np.array([t], dtype=float), h_step)[0]
+
+
+def _central_difference(tdh, times, h=None):
+    """:func:`differentiate_form` at each of ``times``, stacked."""
     t0, t1 = tdh.t_span
     span = t1 - t0
-    h = span * 1e-4 if h_step is None else float(h_step)
+    h = span * 1e-4 if h is None else float(h)
     if h < 1e-8 * span:
         raise GridError(f"finite-difference step {h:.3e} underflows (span {span:.3e})")
-    if t - h < t0 - 1e-15 or t + h > t1 + 1e-15:
-        raise GridError(
-            f"stencil [{t - h}, {t + h}] leaves the span [{t0}, {t1}]"
-        )
-
-    def central(step):
-        return (tdh(t + step) - tdh(t - step)) / (2.0 * step)
-
-    D = central(h)
-    if richardson:
-        D = (4.0 * central(h / 2.0) - D) / 3.0
+    outside = np.flatnonzero((times - h < t0 - 1e-15) | (times + h > t1 + 1e-15))
+    if outside.size:
+        t = times[outside[0]]
+        raise GridError(f"stencil [{t - h}, {t + h}] leaves the span [{t0}, {t1}]")
+    up, down, half_up, half_down = (tdh.stack(times + s) for s in (h, -h, h / 2.0, -h / 2.0))
+    D = (up - down) / (2.0 * h)
+    D = (4.0 * ((half_up - half_down) / (2.0 * (h / 2.0))) - D) / 3.0
     return hermitize(D, rtol=np.inf)
 
 
-def _fd_derivative(tdh, t, h):
-    """Second-order derivative estimate valid up to the span boundary."""
+def _fd_derivative(tdh, times, h):
+    """Second-order derivative estimates at each of ``times``, valid up to the span boundary.
+
+    Central differences where ``[t - h, t + h]`` fits in the span, else
+    one-sided ones on ``t, t + s, t + 2s``: forward (``s = h``) at the left
+    edge, backward (``s = -h``) at the right.  The numerator is kept per
+    side, not divided by ``2s``, so an exactly cancelled one stays ``+0.0``.
+    """
     t0, t1 = tdh.t_span
-    if t - h >= t0 and t + h <= t1:
-        return differentiate_form(tdh, t, h_step=h)
-    if t + 2 * h <= t1:  # left edge, forward one-sided
-        D = (-3.0 * tdh(t) + 4.0 * tdh(t + h) - tdh(t + 2 * h)) / (2.0 * h)
-    elif t - 2 * h >= t0:  # right edge, backward one-sided
-        D = (3.0 * tdh(t) - 4.0 * tdh(t - h) + tdh(t - 2 * h)) / (2.0 * h)
-    else:
-        raise GridError(f"span too short for a finite-difference stencil at t = {t}")
-    return hermitize(D, rtol=np.inf)
+    inner = (times - h >= t0) & (times + h <= t1)
+    forward = times + 2 * h <= t1
+    stuck = np.flatnonzero(~inner & ~forward & (times - 2 * h < t0))
+    if stuck.size:
+        raise GridError(f"span too short for a finite-difference stencil at t = {times[stuck[0]]}")
+    D = np.empty((times.size, tdh.dim, tdh.dim), dtype=complex)
+    if inner.any():
+        D[inner] = _central_difference(tdh, times[inner], h)
+    edge, forward = times[~inner], forward[~inner]
+    s = np.where(forward, h, -h)
+    H0, H1, H2 = tdh.stack(edge), tdh.stack(edge + s), tdh.stack(edge + 2 * s)
+    numerator = np.where(
+        forward[:, None, None], -3.0 * H0 + 4.0 * H1 - H2, 3.0 * H0 - 4.0 * H1 + H2
+    )
+    D[~inner] = hermitize(numerator / (2.0 * h), rtol=np.inf)
+    return D
 
 
 def _derivative_stack(tdh, grid, order, h=None, allow_fd=True):
@@ -150,7 +163,7 @@ def _derivative_stack(tdh, grid, order, h=None, allow_fd=True):
     t0, t1 = tdh.t_span
     h = (t1 - t0) * 1e-4 if h is None else h
     if order == 1:
-        return np.stack([_fd_derivative(tdh, t, h) for t in grid])
+        return _fd_derivative(tdh, grid, h)
     tc = np.clip(grid, t0 + h, t1 - h)
     if tdh.has_derivative:
         D2 = (_derivative_stack(tdh, tc + h, 1) - _derivative_stack(tdh, tc - h, 1)) / (2.0 * h)

@@ -330,6 +330,7 @@ def run_propagation(cfg: ExperimentConfig, outdir, grid_refine=0):
         header += [f"re_{lab}", f"im_{lab}"]
     header += ["norm_H", "norm_plus", "weak_residual_local"]
     weak_local = np.append(report.weak_local, 0.0)
+    norm_plus = [scale0.norm_plus(v) for v in states]
     rows = []
     for j, tj in enumerate(times):
         row = [tj]
@@ -337,7 +338,7 @@ def run_propagation(cfg: ExperimentConfig, outdir, grid_refine=0):
             row += [states[j, idx].real, states[j, idx].imag]
         row += [
             float(np.linalg.norm(states[j])),
-            scale0.norm_plus(states[j]),
+            norm_plus[j],
             float(weak_local[j]),
         ]
         rows.append(row)
@@ -353,7 +354,7 @@ def run_propagation(cfg: ExperimentConfig, outdir, grid_refine=0):
 
     series = {
         "norm_H": (times, np.linalg.norm(states, axis=1)),
-        "norm_plus": (times, np.array([scale0.norm_plus(v) for v in states])),
+        "norm_plus": (times, np.array(norm_plus)),
         "weak_residual": (report.midpoints, report.weak_local),
     }
     for lab, idx in zip(labels, selected):

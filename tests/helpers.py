@@ -12,9 +12,9 @@ from formevol import (
     TimeDependentHamiltonian,
     build_scale,
 )
+from formevol.errors import GridError
 from formevol.forms import blocks, hermitian_spectral_norm, hermitize
 from formevol.propagators import _CF4_C, _CF4_D, _node_count, _simplex_term
-from formevol.regularity import _fd_derivative
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -41,6 +41,53 @@ def block_size(dim):
 
 
 # ---------------------------------------------------------------------------
+# Scalar formulas of the profile kinds.  The library writes each kind's
+# alpha, alpha' and alpha'' once, as numpy expressions over arrays of times;
+# these are the ``math``-module formulas it used one scalar time at a time,
+# and the arrays must equal them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_profile(profile, t, order):
+    """``d^n alpha/dt^n`` at one time, ``n = order`` in 0..2, as a float; ``None``
+    for an order the kind does not offer."""
+    k, p = profile.kind, profile.params
+    t = float(t)
+    if k == "constant":
+        return float(p.get("value", 0.0)) if order == 0 else 0.0
+    if k == "polynomial":
+        P = np.polynomial.polynomial
+        c = p["coeffs"] if order == 0 else P.polyder(np.asarray(p["coeffs"], dtype=float), order)
+        return float(P.polyval(t, c))
+    if k == "trigonometric":
+        a = p.get("amplitude", 1.0)
+        w = p.get("frequency", 1.0)
+        ph = p.get("phase", 0.0)
+        if order == 0:
+            return float(a * math.sin(w * t + ph) + p.get("offset", 0.0))
+        if order == 1:
+            return float(a * w * math.cos(w * t + ph))
+        return float(-a * w * w * math.sin(w * t + ph))
+    if k == "kink":
+        a = p.get("amplitude", 1.0)
+        if order == 0:
+            return float(a * abs(t - p["center"]) + p.get("offset", 0.0))
+        # Bounded a.e. derivative; the corner itself reports 0.
+        return float(a * np.sign(t - p["center"])) if order == 1 else None
+    if k == "rough_c0":
+        a = p.get("amplitude", 1.0)
+        s = p.get("scale", 1.0)
+        if order == 2:
+            return None
+        if t == 0.0:
+            return 0.0
+        if order == 0:
+            return float(a * t * t * math.sin(s / t))
+        return float(a * (2.0 * t * math.sin(s / t) - s * math.cos(s / t)))
+    return float(np.interp(t, p["times"], p["values"])) if order == 0 else None
+
+
+# ---------------------------------------------------------------------------
 # Per-time callables of the affine model kinds.  The library stacks these
 # families by one broadcast of scalar coefficients; the callables are the
 # per-time matrices the models were built from before, and the stacks must
@@ -57,9 +104,11 @@ def reference_callables(tdh):
         ones = np.ones((model.dim, model.dim), dtype=complex)
         a = model.alpha
         return (
-            lambda t: kinetic + (a.value(t) / (2.0 * math.pi)) * ones,
-            (lambda t: (a.derivative(t) / (2.0 * math.pi)) * ones) if a.has_derivative else None,
-            (lambda t: (a.second_derivative(t) / (2.0 * math.pi)) * ones)
+            lambda t: kinetic + (reference_profile(a, t, 0) / (2.0 * math.pi)) * ones,
+            (lambda t: (reference_profile(a, t, 1) / (2.0 * math.pi)) * ones)
+            if a.has_derivative
+            else None,
+            (lambda t: (reference_profile(a, t, 2) / (2.0 * math.pi)) * ones)
             if a.has_second_derivative
             else None,
         )
@@ -130,6 +179,25 @@ def brute_force_k2_moduli(W, grid):
 # ---------------------------------------------------------------------------
 
 
+def reference_fd_derivative(tdh, t, h):
+    """Second-order finite-difference derivative at one time, valid up to the
+    span boundary: Richardson central differences inside, one-sided at the edges."""
+    t0, t1 = tdh.t_span
+    if t - h >= t0 and t + h <= t1:
+        def central(step):
+            return (tdh(t + step) - tdh(t - step)) / (2.0 * step)
+
+        D = central(h)
+        D = (4.0 * central(h / 2.0) - D) / 3.0
+    elif t + 2 * h <= t1:  # left edge, forward one-sided
+        D = (-3.0 * tdh(t) + 4.0 * tdh(t + h) - tdh(t + 2 * h)) / (2.0 * h)
+    elif t - 2 * h >= t0:  # right edge, backward one-sided
+        D = (3.0 * tdh(t) - 4.0 * tdh(t - h) + tdh(t - 2 * h)) / (2.0 * h)
+    else:
+        raise GridError(f"span too short for a finite-difference stencil at t = {t}")
+    return hermitize(D, rtol=np.inf)
+
+
 def reference_derivative(tdh, t, order):
     """``d^n H/dt^n`` at one time, analytic if offered, else finite differences."""
     if order == 0:
@@ -138,7 +206,7 @@ def reference_derivative(tdh, t, order):
     h = (t1 - t0) * 1e-4
     if order == 1:
         D = tdh.derivative(t)
-        return _fd_derivative(tdh, t, h) if D is None else D
+        return reference_fd_derivative(tdh, t, h) if D is None else D
     D2 = tdh.second_derivative(t)
     if D2 is not None:
         return D2

@@ -20,7 +20,7 @@ from formevol import (
     synthetic_family,
 )
 
-from helpers import generic_twin, reference_callables
+from helpers import generic_twin, reference_callables, reference_profile
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,7 +28,6 @@ TWO_PI = 2.0 * math.pi
 class TestAlphaProfiles:
     def test_constant(self):
         prof = alpha_profile("constant", value=1.0)
-        assert prof.sup_abs(0.0, 5.0) == 1.0
         assert prof.derivative(2.0) == 0.0
 
     def test_kink_jump(self):
@@ -200,6 +199,86 @@ class TestSyntheticFamilies:
             synthetic_family("constant", 1, 1.0)
 
 
+#: One profile of every kind.  Together with ``PROFILE_TIMES`` they reach each
+#: special point: rough_c0's t = 0, the kink's corner, the table's nodes and
+#: times before and after the table.
+PROFILES = {
+    "constant": alpha_profile("constant", value=-1.25),
+    "polynomial": alpha_profile("polynomial", coeffs=[0.5, -1.0, 0.3, 0.05]),
+    "trigonometric": alpha_profile(
+        "trigonometric", amplitude=-1.7, frequency=2.5, phase=0.4, offset=0.3
+    ),
+    "kink": alpha_profile("kink", center=0.75, amplitude=-1.5, offset=0.2),
+    "rough_c0": alpha_profile("rough_c0", amplitude=1.7, scale=3.0),
+    "table": alpha_profile("table", times=[0.0, 0.3, 0.7, 1.0], values=[0.0, 1.5, -0.5, 0.3]),
+}
+PROFILE_TIMES = np.concatenate(
+    [np.linspace(-0.5, 1.5, 41), [0.0, 0.3, 0.7, 0.75, 1.0, 1e-3, -1e-9]]
+)
+
+
+def assert_profile_matches_reference(prof, times):
+    """Orders 0-2 on an array and at each scalar time equal the scalar reference
+    bit for bit, or raise where the kind offers no such derivative."""
+    methods = (prof.value, prof.derivative, prof.second_derivative)
+    for order, method in enumerate(methods):
+        expected = [reference_profile(prof, t, order) for t in times]
+        if expected[0] is None:
+            with pytest.raises(ArgumentError, match="offers no"):
+                method(times)
+            continue
+        values = method(times)
+        assert values.shape == times.shape
+        assert np.array_equal(values, expected)
+        assert all(type(method(t)) is float and method(t) == e for t, e in zip(times, expected))
+    assert prof.has_derivative == (reference_profile(prof, 0.5, 1) is not None)
+    assert prof.has_second_derivative == (reference_profile(prof, 0.5, 2) is not None)
+
+
+class TestProfileArrays:
+    """Each kind's formulas, written once over arrays, equal the scalar ones."""
+
+    @pytest.mark.parametrize("kind", sorted(PROFILES))
+    def test_every_kind_and_order(self, kind):
+        assert_profile_matches_reference(PROFILES[kind], PROFILE_TIMES)
+
+    @pytest.mark.parametrize("kind", sorted(PROFILES))
+    def test_min_value_keeps_its_samples(self, kind):
+        prof = PROFILES[kind]
+        if kind == "table":
+            # The ends and the nodes inside; no uniform sample hits the node 0.7.
+            expected = min(reference_profile(prof, t, 0) for t in (0.25, 0.9, 0.3, 0.7))
+            assert prof.min_value(0.25, 0.9) == expected == -0.5
+        else:
+            scan = np.linspace(-0.25, 0.9, 4097)
+            expected = min(reference_profile(prof, t, 0) for t in scan)
+            assert prof.min_value(-0.25, 0.9) == expected
+
+    def test_rough_c0_has_no_division_at_zero(self):
+        prof = PROFILES["rough_c0"]
+        with np.errstate(all="raise"):
+            assert prof.value(np.array([0.0, -0.0])).tolist() == [0.0, 0.0]
+            assert prof.derivative(0.0) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+        st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+        st.floats(min_value=-20.0, max_value=20.0, allow_nan=False),
+        st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+        st.lists(
+            st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=1, max_size=6
+        ),
+    )
+    def test_parameter_space(self, amplitude, frequency, phase, offset, coeffs):
+        times = np.linspace(-3.0, 7.0, 23)
+        trig = alpha_profile(
+            "trigonometric", amplitude=amplitude, frequency=frequency, phase=phase, offset=offset
+        )
+        assert_profile_matches_reference(trig, times)
+        assert_profile_matches_reference(alpha_profile("polynomial", coeffs=coeffs), times)
+
+
 def skewing_family(t_star=0.5):
     """Hermitian up to ``t_star``, with a growing asymmetric entry from then on."""
     def matrix(t):
@@ -314,7 +393,7 @@ class TestAffineStack:
     def test_a_missing_coefficient_derivative_withdraws_that_order(self):
         tdh = AffineHamiltonian(
             np.diag([1.0, 2.0]),
-            [(np.eye(2), (math.sin, math.cos, None)), (np.ones((2, 2)), (math.cos, None, None))],
+            [(np.eye(2), (np.sin, np.cos, None)), (np.ones((2, 2)), (np.cos, None, None))],
             (0.0, 1.0), Semibound(0.0),
         )
         assert not tdh.has_derivative and tdh.second_derivative(0.5) is None

@@ -28,9 +28,15 @@ from formevol import (
     synthetic_family,
     uniform_grid,
 )
-from formevol.regularity import _pencil_extremes, _sandwiched_stack
+from formevol.regularity import _fd_derivative, _pencil_extremes, _sandwiched_stack
 
-from helpers import block_size, brute_force_k2_moduli, random_hermitian, reference_audit_profiles
+from helpers import (
+    block_size,
+    brute_force_k2_moduli,
+    random_hermitian,
+    reference_audit_profiles,
+    reference_fd_derivative,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -493,6 +499,44 @@ def failing_semibound_family():
         Semibound(0.0),
         derivative_fn=lambda t: -3.0 * np.eye(2, dtype=complex),
     )
+
+
+def _zero_pattern_family():
+    """No derivative offered; constant entries, exact zeros among them, whose
+    one-sided differences cancel exactly."""
+    def matrix(t):
+        return np.array([[1.0, 0.0, 0.5j], [0.0, -2.0 - t * t, t], [-0.5j, t, 3.0]], dtype=complex)
+    return TimeDependentHamiltonian(3, matrix, (0.0, 1.0), Semibound(4.0))
+
+
+class TestFiniteDifferenceStack:
+    """The batched finite differences equal the per-point ones bit for bit,
+    signed zeros included, at the edges and inside."""
+
+    @pytest.mark.parametrize("h", [1e-4, 0.05])
+    @pytest.mark.parametrize(
+        "family",
+        [
+            _zero_pattern_family,
+            # Flat last segment: a one-sided difference at the right edge cancels.
+            _circle(2, "table", T=1.0, times=[0.0, 0.4, 0.8, 1.0], values=[0.5, -1.0, 2.0, 2.0]),
+        ],
+        ids=["zero_pattern", "flat_table"],
+    )
+    def test_matches_per_point_reference(self, family, h):
+        tdh = family()
+        grid = np.concatenate([uniform_grid(0.0, 1.0, 11), [h / 2, 1.0 - h / 2, 1.5 * h]])
+        expected = np.stack([reference_fd_derivative(tdh, t, h) for t in grid])
+        assert _fd_derivative(tdh, grid, h).tobytes() == expected.tobytes()
+        assert differentiate_form(tdh, 0.5, h_step=h).tobytes() == expected[5].tobytes()
+
+    def test_names_the_first_time_without_a_stencil(self):
+        tdh = _zero_pattern_family()
+        # With h = 0.45 a stencil fits for t <= 0.1, 0.45 <= t <= 0.55 and t >= 0.9.
+        with pytest.raises(GridError, match=r"stencil at t = 0.3$"):
+            _fd_derivative(tdh, np.array([0.0, 0.5, 1.0, 0.3, 0.35]), 0.45)
+        with pytest.raises(GridError, match=r"stencil at t = 0.3$"):
+            reference_fd_derivative(tdh, 0.3, 0.45)
 
 
 class TestErrorPaths:
