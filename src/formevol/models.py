@@ -47,6 +47,9 @@ _PROFILE_SCAN_POINTS = 4097
 def _profile_formulas(kind, p):
     """``(alpha, alpha', alpha'')`` of a profile kind as numpy expressions in an
     array of times, each of its shape; ``None`` for an order the kind lacks."""
+    required = {"polynomial": "coeffs", "kink": "center"}.get(kind)
+    if required is not None and required not in p:
+        raise ArgumentError(f"{kind} profile needs the parameter {required!r}")
     if kind == "constant":
         v = float(p.get("value", 0.0))
         return lambda t: np.full_like(t, v), np.zeros_like, np.zeros_like
@@ -69,7 +72,15 @@ def _profile_formulas(kind, p):
 
         def zero_at_origin(f):
             # f(t, s / t) away from t = 0, and 0 there, without dividing by 0.
-            return lambda t: np.where(t == 0.0, 0.0, f(t, s / np.where(t == 0.0, 1.0, t)))
+            def formula(t):
+                with np.errstate(over="ignore"):
+                    u = s / np.where(t == 0.0, 1.0, t)
+                if np.isinf(u).any():
+                    bad = float(t[np.isinf(u)][0])
+                    raise ArgumentError(f"rough_c0 profile: scale / t overflows at t = {bad!r}")
+                return np.where(t == 0.0, 0.0, f(t, u))
+
+            return formula
 
         return (zero_at_origin(lambda t, u: a * t * t * np.sin(u)),
                 zero_at_origin(lambda t, u: a * (2.0 * t * np.sin(u) - s * np.cos(u))), None)

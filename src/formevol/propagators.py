@@ -20,17 +20,16 @@ resolvent-regularized dynamics as ``n`` grows.
 
 Tables are immutable once built.  Steps are evaluated in the blocks of
 :func:`forms.blocks`, bounded in matrix entries and in steps: each block's
-nodes are stacked by :meth:`TimeDependentHamiltonian.stack` and
-exponentiated by batched eigensolves, and only the composition
-``U[j+1] = E_j U[j]`` is sequential.
+nodes are stacked by :meth:`TimeDependentHamiltonian.stack`, one node index
+for every step of the block at once, and exponentiated by batched
+eigensolves or, for Dyson, combined by a recursion over the nodes.  Only the
+composition ``U[j+1] = E_j U[j]`` is sequential.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -146,17 +145,8 @@ def _finish_table(s, times, U, method, params):
                 f"{times[block][bad[0]]}; the truncated expansion diverged, raise substeps"
             )
         defects[block] = hermitian_spectral_norm(G)
-    return PropagatorTable(
-        s=float(s),
-        times=times,
-        matrices=U,
-        method=method,
-        params=params,
-        diagnostics={
-            "unitarity_defect": defects,
-            "step_sizes": np.diff(times),
-        },
-    )
+    diagnostics = {"unitarity_defect": defects, "step_sizes": np.diff(times)}
+    return PropagatorTable(float(s), times, U, method, params, diagnostics)
 
 
 def reference_propagator(tdh, s, t, substeps, scheme="magnus2") -> PropagatorTable:
@@ -214,25 +204,25 @@ def _node_count(dt, order, p):
     return min(128, max(1, math.ceil(dt ** (-exponent))))
 
 
-def _simplex_term(evals, weight, p):
-    """Sum of time-ordered products over nondecreasing node tuples.
+def _ordered_degrees(X, top):
+    """Degree 1..``top`` parts ``T_1..T_top`` of the ordered product of ``exp(X_j)``.
 
-    ``evals`` are the per-node matrices in ascending node time; tuples with
-    repeated nodes pick up the inverse factorial of each multiplicity (the
+    ``X`` yields the ``(steps, d, d)`` stacks ``X_j = w H_j`` in ascending node
+    time; later nodes multiply on the left, ``T_p <- T_p + sum_k X_j^k / k! T_{p-k}``
+    with ``T_0 = I``.  ``T_p`` is the sum of the ordered products over nondecreasing
+    node tuples, each weighted by the inverse factorial of every multiplicity (the
     volume fraction of the hypercube cell below the ordering boundary).
     """
-    M = len(evals)
-    n = evals[0].shape[0]
-    acc = np.zeros((n, n), dtype=complex)
-    for combo in combinations_with_replacement(range(M), p):
-        prod = evals[combo[-1]]
-        for idx in reversed(combo[:-1]):
-            prod = prod @ evals[idx]
-        frac = 1.0
-        for mult in Counter(combo).values():
-            frac /= math.factorial(mult)
-        acc += frac * prod
-    return acc * weight**p
+    T = None
+    for Xj in X:
+        powers = [Xj]  # powers[k] = X_j^(k+1) / (k+1)!
+        for k in range(2, top + 1):
+            powers.append(powers[-1] @ Xj / k)
+        # T[p] holds T_{p+1} of the nodes so far; each node writes fresh arrays.
+        T = powers if T is None else [
+            T[p] + powers[p] + sum(powers[k] @ T[p - k - 1] for k in range(p)) for p in range(top)
+        ]
+    return T
 
 
 def dyson_propagator(tdh, s, t, order, substeps, yosida_n=None) -> PropagatorTable:
@@ -240,10 +230,12 @@ def dyson_propagator(tdh, s, t, order, substeps, yosida_n=None) -> PropagatorTab
 
     Each substep accumulates ``sum_p (-i)^p`` times the ordered simplex
     integral of ``H(t_1) ... H(t_p)``, approximated by a composite midpoint
-    tensor rule restricted to the ordered region.  With ``yosida_n`` set,
-    every evaluation of ``H`` is replaced by its bounded regularization.
-    Steps are not renormalized: the unitarity defect decays at the scheme
-    order and is reported in the diagnostics.
+    tensor rule restricted to the ordered region; the node counts follow from
+    the nominal step ``|t - s| / substeps``.  The degrees sharing a count come
+    from one :func:`_ordered_degrees` over every step of a block.  With
+    ``yosida_n`` set, every evaluation of ``H`` is replaced by its bounded
+    regularization.  Steps are not renormalized: the unitarity defect decays
+    at the scheme order and is reported in the diagnostics.
     """
     order = int(order)
     if order not in (1, 2, 3, 4):
@@ -254,29 +246,28 @@ def dyson_propagator(tdh, s, t, order, substeps, yosida_n=None) -> PropagatorTab
 
     family = tdh if yosida_n is None else yosida_hamiltonian(tdh, yosida_n)
     n = tdh.dim
+    counts = [_node_count(abs(float(t) - float(s)) / substeps, order, p)
+              for p in range(1, order + 1)]
+    # Counts do not rise with p, so each count's degrees follow the previous count's.
+    tops = {M: p for p, M in enumerate(counts, start=1)}  # the highest degree of each count
     times = np.linspace(float(s), float(t), substeps + 1)
     U = np.empty((substeps + 1, n, n), dtype=complex)
     U[0] = np.eye(n)
-    for j in range(substeps):
-        a, b = times[j], times[j + 1]
+    for block in blocks(substeps, n):
+        a, b = times[:-1][block], times[1:][block]
         dt = b - a
         step = np.eye(n, dtype=complex)
-        cache = {}
-        for p in range(1, order + 1):
-            M = _node_count(abs(dt), order, p)
-            if M not in cache:
-                cache[M] = family.stack(a + (np.arange(M) + 0.5) * dt / M)
-            term = _simplex_term(cache[M], dt / M, p)
-            step = step + (-1j) ** p * term
+        for M, top in tops.items():
+            w = (dt / M)[:, None, None]
+            T = _ordered_degrees((w * family.stack(a + (j + 0.5) * dt / M) for j in range(M)), top)
+            for p in range(counts.index(M) + 1, top + 1):
+                step = step + (-1j) ** p * T[p - 1]
+            del T  # free this count's degrees before the next recursion
         with np.errstate(over="ignore", invalid="ignore"):  # caught by _finish_table
-            U[j + 1] = step @ U[j]
-    return _finish_table(
-        s,
-        times,
-        U,
-        "dyson",
-        {"order": order, "substeps": substeps, "yosida_n": yosida_n},
-    )
+            for j, E_j in enumerate(step, start=block.start):
+                U[j + 1] = E_j @ U[j]
+    params = {"order": order, "substeps": substeps, "yosida_n": yosida_n}
+    return _finish_table(s, times, U, "dyson", params)
 
 
 # ---------------------------------------------------------------------------

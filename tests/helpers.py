@@ -1,6 +1,8 @@
 """Shared construction helpers for the test suite."""
 
 import math
+from collections import Counter
+from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.linalg
@@ -14,7 +16,7 @@ from formevol import (
 )
 from formevol.errors import GridError
 from formevol.forms import blocks, hermitian_spectral_norm, hermitize
-from formevol.propagators import _CF4_C, _CF4_D, _node_count, _simplex_term
+from formevol.propagators import _CF4_C, _CF4_D, _node_count, _ordered_degrees
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -332,8 +334,35 @@ def reference_table(tdh, s, t, substeps, scheme="magnus2"):
     return times, U, reference_unitarity_defects(U)
 
 
+def reference_simplex_term(evals, weight, p):
+    """Sum of time-ordered products over nondecreasing node tuples, one tuple at a time.
+
+    ``evals`` are the per-node matrices in ascending node time; tuples with
+    repeated nodes pick up the inverse factorial of each multiplicity (the
+    volume fraction of the hypercube cell below the ordering boundary).  This
+    is the degree-``p`` term that ``propagators._ordered_degrees`` computes by
+    a recursion over the nodes.
+    """
+    M = len(evals)
+    n = evals[0].shape[0]
+    acc = np.zeros((n, n), dtype=complex)
+    for combo in combinations_with_replacement(range(M), p):
+        prod = evals[combo[-1]]
+        for idx in reversed(combo[:-1]):
+            prod = prod @ evals[idx]
+        frac = 1.0
+        for mult in Counter(combo).values():
+            frac /= math.factorial(mult)
+        acc += frac * prod
+    return acc * weight**p
+
+
 def reference_dyson_table(tdh, s, t, order, substeps, yosida_n=None):
-    """``(times, U, unitarity defects)`` of the per-node Dyson loop."""
+    """``(times, U, unitarity defects)`` of the per-step, per-node Dyson loop.
+
+    Each step evaluates its nodes one time at a time and runs the library's
+    node recursion on that step alone, with the node counts of the nominal step.
+    """
     if yosida_n is None:
         evaluate = tdh
     else:
@@ -341,18 +370,20 @@ def reference_dyson_table(tdh, s, t, order, substeps, yosida_n=None):
         evaluate = lambda tau: reference_yosida_operator(tdh(tau), yosida_n, shift)
     n = tdh.dim
     times = np.linspace(float(s), float(t), substeps + 1)
+    counts = [_node_count(abs(float(t) - float(s)) / substeps, order, p)
+              for p in range(1, order + 1)]
+    tops = {M: p for p, M in enumerate(counts, start=1)}
     mats = [np.eye(n, dtype=complex)]
     for j in range(substeps):
         a, b = times[j], times[j + 1]
         dt = b - a
+        degrees = {}
+        for M, top in tops.items():
+            nodes = a + (np.arange(M) + 0.5) * dt / M
+            degrees[M] = _ordered_degrees([dt / M * evaluate(tau)[None] for tau in nodes], top)
         step = np.eye(n, dtype=complex)
-        cache = {}
-        for p in range(1, order + 1):
-            M = _node_count(abs(dt), order, p)
-            if M not in cache:
-                nodes = a + (np.arange(M) + 0.5) * dt / M
-                cache[M] = [evaluate(tau) for tau in nodes]
-            step = step + (-1j) ** p * _simplex_term(cache[M], dt / M, p)
+        for p, M in enumerate(counts, start=1):
+            step = step + (-1j) ** p * degrees[M][p - 1][0]
         mats.append(step @ mats[-1])
     U = np.stack(mats)
     return times, U, reference_unitarity_defects(U)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,23 @@ class TestAlphaProfiles:
         assert np.max(np.abs(ds)) <= 1.0 + 2e-3  # bounded by scale + 2 t
         # no limit at zero: the derivative keeps swinging across order one
         assert ds.max() > 0.9 and ds.min() < -0.9
+
+    @pytest.mark.parametrize("kind,key", [("kink", "center"), ("polynomial", "coeffs")])
+    def test_missing_required_parameter_is_named(self, kind, key):
+        with pytest.raises(ArgumentError, match=f"{kind} profile needs the parameter '{key}'"):
+            alpha_profile(kind, amplitude=1.0)
+
+    def test_rough_c0_overflow_of_scale_over_t_is_named(self):
+        prof = alpha_profile("rough_c0", amplitude=1.0, scale=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for method in (prof.value, prof.derivative):
+                with pytest.raises(ArgumentError, match=r"scale / t overflows at t = 5e-324$"):
+                    method(5e-324)
+            with pytest.raises(ArgumentError, match=r"at t = 1e-320$"):
+                prof.value(np.array([0.5, 0.0, 1e-320, 5e-324]))
+            tiny = prof.value(1e-300)  # t^2 underflows; sin(1e300) < 0
+        assert tiny == 0.0 and math.copysign(1.0, tiny) == -1.0
 
     def test_table_requires_sorted_unique(self):
         with pytest.raises(ArgumentError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,12 +26,14 @@ from formevol import (
     yosida_hamiltonian,
     yosida_operator,
 )
+from formevol.propagators import _ordered_degrees
 
 from helpers import (
     block_size,
     random_hermitian,
     random_unit_vector,
     reference_dyson_table,
+    reference_simplex_term,
     reference_table,
     reference_unitarity_defects,
     reference_weak_residual,
@@ -235,6 +238,56 @@ class TestDysonPropagator:
         tdh = constant_family(np.eye(2))
         with pytest.raises(ArgumentError):
             dyson_propagator(tdh, 0.0, 1.0, 5, 4)
+
+    def test_one_node_count_for_every_step(self, monkeypatch):
+        # The steps of linspace(0, 1, 71) differ from 1/70 by ulps, and
+        # ceil(1/dt), the node count of degrees 1 and 2, is 70 for some of
+        # them and 71 for others; the nominal step gives 70/70/9/1 to all.
+        tdh = circle_delta_model(1, alpha_profile("trigonometric", amplitude=1.0), 1.0)
+        evaluated = []
+        stack = tdh.stack
+
+        def recording(times, order=0):
+            evaluated.append(np.array(times))
+            return stack(times, order)
+
+        monkeypatch.setattr(tdh, "stack", recording)
+        table = dyson_propagator(tdh, 0.0, 1.0, 4, 70)
+        step_of = np.searchsorted(table.times, np.concatenate(evaluated)) - 1
+        assert np.array_equal(np.bincount(step_of, minlength=70), np.full(70, 70 + 9 + 1))
+
+    def test_peak_memory_stays_per_node(self):
+        # K = 16, 64 steps on [0, 0.5]: node counts 128/128/12/1 and blocks of
+        # 30 steps.  A block's nodes held at once, (30, 128, 33, 33) complex,
+        # would take 67 MB; one node index at a time takes a few stacks.
+        tdh = circle_delta_model(16, alpha_profile("trigonometric", amplitude=1.0), TWO_PI)
+        tracemalloc.start()
+        try:
+            dyson_propagator(tdh, 0.0, 0.5, 4, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+
+class TestOrderedDegrees:
+    """The node recursion against the sum over nondecreasing node tuples."""
+
+    @pytest.mark.parametrize("M", [1, 2, 10, 82])
+    @pytest.mark.parametrize("family", ["circle", "rotating_frame"])
+    def test_degrees_match_tuple_sum(self, family, M):
+        if family == "circle":
+            tdh = circle_delta_model(16, alpha_profile("trigonometric", amplitude=1.0), TWO_PI)
+        else:
+            tdh = FAMILIES["rotating_frame"]()
+        dt = TWO_PI / 512
+        evals = list(tdh.stack(0.3 + (np.arange(M) + 0.5) * dt / M))
+        # Degree 4 over 82 nodes is 2,024,785 tuples: too slow for the tuple sum.
+        top = 3 if M == 82 else 4
+        T = _ordered_degrees([dt / M * H[None] for H in evals], top)
+        for p in range(1, top + 1):
+            expected = reference_simplex_term(evals, dt / M, p)
+            assert np.max(np.abs(T[p - 1][0] - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestPropagate:
