@@ -59,6 +59,7 @@ from .propagators import (
     YosidaStudy,
     build_table,
     dyson_propagator,
+    final_state,
     propagate,
     propagator_axioms,
     reference_propagator,

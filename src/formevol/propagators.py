@@ -18,12 +18,15 @@ time, identity at equal times, grid-level strong continuity), weak and strong
 residuals of trajectories, norm conservation, and the convergence of the
 resolvent-regularized dynamics as ``n`` grows.
 
-Tables are immutable once built.  Steps are evaluated in the blocks of
-:func:`forms.blocks`, bounded in matrix entries and in steps: each block's
-nodes are stacked by :meth:`TimeDependentHamiltonian.stack`, one node index
-for every step of the block at once, and exponentiated by batched
-eigensolves or, for Dyson, combined by a recursion over the nodes.  Only the
-composition ``U[j+1] = E_j U[j]`` is sequential.
+Steps are evaluated in the blocks of :func:`forms.blocks`, bounded in matrix
+entries and in steps: each block's nodes are stacked by
+:meth:`TimeDependentHamiltonian.stack`, one node index for every step of the
+block at once, and exponentiated by batched eigensolves or, for Dyson,
+combined by a recursion over the nodes.  Only applying the steps is
+sequential.  A table ``U[j+1] = E_j U[j]`` is built only where a caller
+needs one (trajectories, the axioms, the unitarity defect); the convergence
+sweeps read final states only, so :func:`final_state` applies each step to
+the vector and holds no table.  Tables are immutable once built.
 """
 
 from __future__ import annotations
@@ -149,6 +152,48 @@ def _finish_table(s, times, U, method, params):
     return PropagatorTable(float(s), times, U, method, params, diagnostics)
 
 
+def _grid(s, t, substeps):
+    """The ``substeps + 1`` uniform step times from ``s`` to ``t``."""
+    substeps = int(substeps)
+    if substeps < 1:
+        raise ArgumentError(f"substeps must be >= 1, got {substeps}")
+    return np.linspace(float(s), float(t), substeps + 1)
+
+
+def _compose(times, steps, dim):
+    """The table ``U[j+1] = E_j U[j]``, ``U[0] = I``, of the ``(block, E)`` ``steps``."""
+    U = np.empty((times.size, dim, dim), dtype=complex)
+    U[0] = np.eye(dim)
+    for block, E in steps:
+        with np.errstate(over="ignore", invalid="ignore"):  # caught by _finish_table
+            for j, E_j in enumerate(E, start=block.start):
+                U[j + 1] = E_j @ U[j]
+    return U
+
+
+def _reference_steps(tdh, s, t, substeps, scheme):
+    """``(times, steps)``: the grid and a generator of ``(block, E)``, the
+    magnus2/magnus4 step propagators of each block of steps as one stack."""
+    if scheme not in ("magnus2", "magnus4"):
+        raise ArgumentError(f"unknown reference scheme {scheme!r}")
+    times = _grid(s, t, substeps)
+
+    def steps():
+        for block in blocks(times.size - 1, tdh.dim):
+            a, b = times[:-1][block], times[1:][block]
+            dt, mid = b - a, 0.5 * (a + b)
+            if scheme == "magnus2":
+                yield block, unitary_exp(tdh.stack(mid), dt)
+            else:
+                h1 = tdh.stack(mid - _SQRT3 / 6.0 * dt)
+                h2 = tdh.stack(mid + _SQRT3 / 6.0 * dt)
+                yield block, unitary_exp(_CF4_C * h1 + _CF4_D * h2, dt) @ unitary_exp(
+                    _CF4_D * h1 + _CF4_C * h2, dt
+                )
+
+    return times, steps()
+
+
 def reference_propagator(tdh, s, t, substeps, scheme="magnus2") -> PropagatorTable:
     """High-accuracy propagator table built from exact spectral exponentials.
 
@@ -158,28 +203,9 @@ def reference_propagator(tdh, s, t, substeps, scheme="magnus2") -> PropagatorTab
     to eigensolver roundoff, making unitarity a hard invariant of the table
     rather than a convergence artifact.  ``t < s`` integrates backwards.
     """
-    substeps = int(substeps)
-    if substeps < 1:
-        raise ArgumentError(f"substeps must be >= 1, got {substeps}")
-    if scheme not in ("magnus2", "magnus4"):
-        raise ArgumentError(f"unknown reference scheme {scheme!r}")
-    times = np.linspace(float(s), float(t), substeps + 1)
-    U = np.empty((substeps + 1, tdh.dim, tdh.dim), dtype=complex)
-    U[0] = np.eye(tdh.dim)
-    for block in blocks(substeps, tdh.dim):
-        a, b = times[:-1][block], times[1:][block]
-        dt, mid = b - a, 0.5 * (a + b)
-        if scheme == "magnus2":
-            E = unitary_exp(tdh.stack(mid), dt)
-        else:
-            h1 = tdh.stack(mid - _SQRT3 / 6.0 * dt)
-            h2 = tdh.stack(mid + _SQRT3 / 6.0 * dt)
-            E = unitary_exp(_CF4_C * h1 + _CF4_D * h2, dt) @ unitary_exp(
-                _CF4_D * h1 + _CF4_C * h2, dt
-            )
-        for j, E_j in enumerate(E, start=block.start):
-            U[j + 1] = E_j @ U[j]
-    return _finish_table(s, times, U, scheme, {"substeps": substeps})
+    times, steps = _reference_steps(tdh, s, t, substeps, scheme)
+    U = _compose(times, steps, tdh.dim)
+    return _finish_table(s, times, U, scheme, {"substeps": int(substeps)})
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +251,38 @@ def _ordered_degrees(X, top):
     return T
 
 
+def _dyson_steps(tdh, s, t, order, substeps, yosida_n):
+    """``(times, steps)``: the grid and a generator of ``(block, E)``, the
+    truncated-expansion steps of each block of steps as one stack."""
+    order = int(order)
+    if order not in (1, 2, 3, 4):
+        raise ArgumentError(f"expansion order must be in 1..4, got {order}")
+    times = _grid(s, t, substeps)
+    family = tdh if yosida_n is None else yosida_hamiltonian(tdh, yosida_n)
+    n = tdh.dim
+    counts = [_node_count(abs(float(t) - float(s)) / (times.size - 1), order, p)
+              for p in range(1, order + 1)]
+    # Counts do not rise with p, so each count's degrees follow the previous count's.
+    tops = {M: p for p, M in enumerate(counts, start=1)}  # the highest degree of each count
+
+    def steps():
+        for block in blocks(times.size - 1, n):
+            a, b = times[:-1][block], times[1:][block]
+            dt = b - a
+            step = np.eye(n, dtype=complex)
+            for M, top in tops.items():
+                w = (dt / M)[:, None, None]
+                T = _ordered_degrees(
+                    (w * family.stack(a + (j + 0.5) * dt / M) for j in range(M)), top
+                )
+                for p in range(counts.index(M) + 1, top + 1):
+                    step = step + (-1j) ** p * T[p - 1]
+                del T  # free this count's degrees before the next recursion
+            yield block, step
+
+    return times, steps()
+
+
 def dyson_propagator(tdh, s, t, order, substeps, yosida_n=None) -> PropagatorTable:
     """Truncated time-ordered expansion of order ``order`` in {1, 2, 3, 4}.
 
@@ -237,36 +295,9 @@ def dyson_propagator(tdh, s, t, order, substeps, yosida_n=None) -> PropagatorTab
     regularization.  Steps are not renormalized: the unitarity defect decays
     at the scheme order and is reported in the diagnostics.
     """
-    order = int(order)
-    if order not in (1, 2, 3, 4):
-        raise ArgumentError(f"expansion order must be in 1..4, got {order}")
-    substeps = int(substeps)
-    if substeps < 1:
-        raise ArgumentError(f"substeps must be >= 1, got {substeps}")
-
-    family = tdh if yosida_n is None else yosida_hamiltonian(tdh, yosida_n)
-    n = tdh.dim
-    counts = [_node_count(abs(float(t) - float(s)) / substeps, order, p)
-              for p in range(1, order + 1)]
-    # Counts do not rise with p, so each count's degrees follow the previous count's.
-    tops = {M: p for p, M in enumerate(counts, start=1)}  # the highest degree of each count
-    times = np.linspace(float(s), float(t), substeps + 1)
-    U = np.empty((substeps + 1, n, n), dtype=complex)
-    U[0] = np.eye(n)
-    for block in blocks(substeps, n):
-        a, b = times[:-1][block], times[1:][block]
-        dt = b - a
-        step = np.eye(n, dtype=complex)
-        for M, top in tops.items():
-            w = (dt / M)[:, None, None]
-            T = _ordered_degrees((w * family.stack(a + (j + 0.5) * dt / M) for j in range(M)), top)
-            for p in range(counts.index(M) + 1, top + 1):
-                step = step + (-1j) ** p * T[p - 1]
-            del T  # free this count's degrees before the next recursion
-        with np.errstate(over="ignore", invalid="ignore"):  # caught by _finish_table
-            for j, E_j in enumerate(step, start=block.start):
-                U[j + 1] = E_j @ U[j]
-    params = {"order": order, "substeps": substeps, "yosida_n": yosida_n}
+    times, steps = _dyson_steps(tdh, s, t, order, substeps, yosida_n)
+    U = _compose(times, steps, tdh.dim)
+    params = {"order": int(order), "substeps": int(substeps), "yosida_n": yosida_n}
     return _finish_table(s, times, U, "dyson", params)
 
 
@@ -321,6 +352,45 @@ def build_table(tdh, s, t, method="magnus2", substeps=256, order=2,
         }
         return table
     raise ArgumentError(f"unknown propagation method {method!r}")
+
+
+def final_state(tdh, psi0, s, t, method="magnus2", substeps=256, order=2,
+                yosida_n=None, inner_scheme="magnus2") -> np.ndarray:
+    """``U(t, s) psi0`` for the propagation :func:`build_table` would tabulate.
+
+    Each block's step propagators are applied to the state, ``psi <- E_j psi``,
+    so no ``(substeps + 1, d, d)`` table is built; the result equals the
+    table's final row applied to ``psi0`` up to roundoff.  A state whose squared
+    norm overflows after a block, as ``U* U`` in the table's unitarity check
+    would, raises :class:`NumericalError` naming the block's end time.
+    """
+    if method in ("magnus2", "magnus4"):
+        times, steps = _reference_steps(tdh, s, t, substeps, method)
+    elif method == "dyson":
+        times, steps = _dyson_steps(tdh, s, t, order, substeps, yosida_n)
+    elif method == "yosida":
+        if yosida_n is None:
+            raise ArgumentError("method 'yosida' requires yosida_n")
+        times, steps = _reference_steps(
+            yosida_hamiltonian(tdh, yosida_n), s, t, substeps, inner_scheme
+        )
+    else:
+        raise ArgumentError(f"unknown propagation method {method!r}")
+    psi = np.array(psi0, dtype=complex)
+    if np.linalg.norm(psi) == 0.0:
+        raise ArgumentError("initial state must be nonzero")
+    for block, E in steps:
+        # A diverged expansion overflows here; it is reported below, not warned.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for E_j in E:
+                psi = E_j @ psi
+            norm_sq = np.vdot(psi, psi).real
+        if not np.isfinite(norm_sq):
+            raise NumericalError(
+                f"{method} state: its norm is not finite at t = {times[1:][block][-1]}; "
+                "the truncated expansion diverged, raise substeps"
+            )
+    return psi
 
 
 def propagate(tdh, psi0, s=None, t=None, method=None, substeps=256,
@@ -518,10 +588,10 @@ class YosidaStudy:
     err_plus: np.ndarray
 
     @classmethod
-    def against(cls, ref, n_values, runs, scale):
-        """Errors of the final states of ``runs`` (one per value) against ``ref``'s,
-        in the ambient norm and in the plus norm of ``scale``."""
-        diffs = [run.final - ref.final for run in runs]
+    def against(cls, ref, n_values, finals, scale):
+        """Errors of the final states ``finals`` (one per value) against the final
+        state ``ref``, in the ambient norm and in the plus norm of ``scale``."""
+        diffs = [final - ref for final in finals]
         err_h = np.array([float(np.linalg.norm(diff)) for diff in diffs])
         return cls(np.asarray(n_values), err_h, np.array([scale.norm_plus(d) for d in diffs]))
 
@@ -548,10 +618,10 @@ def yosida_convergence_study(tdh, n_list, psi0, s, t, substeps=1024,
     n_arr = np.asarray(list(n_list), dtype=int)
     if n_arr.size == 0 or np.any(np.diff(n_arr) <= 0):
         raise ArgumentError("n_list must be nonempty and strictly increasing")
-    psi0 = np.asarray(psi0, dtype=complex)
-    ref = propagate(tdh, psi0, s, t, method=scheme, substeps=substeps)
-    runs = (
-        propagate(yosida_hamiltonian(tdh, int(n)), psi0, s, t, method=scheme, substeps=substeps)
+    ref = final_state(tdh, psi0, s, t, method=scheme, substeps=substeps)
+    finals = (
+        final_state(tdh, psi0, s, t, method="yosida", substeps=substeps, yosida_n=int(n),
+                    inner_scheme=scheme)
         for n in n_arr
     )
-    return YosidaStudy.against(ref, n_arr, runs, tdh.scale_at(tdh.t_span[0]))
+    return YosidaStudy.against(ref, n_arr, finals, tdh.scale_at(tdh.t_span[0]))

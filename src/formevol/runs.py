@@ -24,7 +24,14 @@ from . import __version__
 from .config import ExperimentConfig, config_hash, serialize_config
 from .errors import ConfigError
 from .models import alpha_profile, circle_delta_model, spectrum, synthetic_family
-from .propagators import Trajectory, YosidaStudy, propagate, weak_residual, yosida_convergence_study
+from .propagators import (
+    Trajectory,
+    YosidaStudy,
+    final_state,
+    propagate,
+    weak_residual,
+    yosida_convergence_study,
+)
 from .regularity import bridge_check, uniform_grid
 
 
@@ -363,7 +370,8 @@ def run_propagation(cfg: ExperimentConfig, outdir, grid_refine=0):
     outputs.append("plotdata.csv")
 
     _write_effective_config(cfg, outdir, outputs)
-    return report, _finish(cfg, outdir, outputs, cfg.audit.seed, t_start)
+    counters = {"propagation_steps": traj.times.size - 1}
+    return report, _finish(cfg, outdir, outputs, cfg.audit.seed, t_start, counters)
 
 
 def run_convergence(cfg: ExperimentConfig, outdir):
@@ -380,6 +388,7 @@ def run_convergence(cfg: ExperimentConfig, outdir):
     s, t = _span(cfg)
     outputs = []
     series = {}
+    steps = 0  # propagation steps applied, over both sweeps
 
     if n_list:
         study = yosida_convergence_study(
@@ -394,20 +403,18 @@ def run_convergence(cfg: ExperimentConfig, outdir):
         ns = study.n_values.astype(float)
         series["yosida_err_H"] = (ns, study.err_h)
         series["yosida_err_plus"] = (ns, study.err_plus)
+        steps += cfg.time.steps * (len(n_list) + 1)
 
     if steps_list:
         if any(b <= a for a, b in zip(steps_list, steps_list[1:])):
             raise ConfigError(["propagator.steps_list must be strictly increasing"])
-        method = cfg.propagator.method
-        ref = propagate(
-            tdh, psi0, s, t, method=method, substeps=4 * max(steps_list),
-            order=cfg.propagator.order,
-        )
-        runs = (
-            propagate(tdh, psi0, s, t, method=method, substeps=N, order=cfg.propagator.order)
-            for N in steps_list
-        )
-        sweep = YosidaStudy.against(ref, steps_list, runs, tdh.scale_at(tdh.t_span[0]))
+        prop = cfg.propagator
+        options = {"method": prop.method, "order": prop.order, "yosida_n": prop.yosida_n}
+        ref_steps = 4 * max(steps_list)
+        ref = final_state(tdh, psi0, s, t, substeps=ref_steps, **options)
+        finals = (final_state(tdh, psi0, s, t, substeps=N, **options) for N in steps_list)
+        steps += ref_steps + sum(steps_list)
+        sweep = YosidaStudy.against(ref, steps_list, finals, tdh.scale_at(tdh.t_span[0]))
         write_csv(
             os.path.join(outdir, "convergence_steps.csv"),
             ["steps", "err_H", "err_plus", "ratio"],
@@ -419,7 +426,7 @@ def run_convergence(cfg: ExperimentConfig, outdir):
     emit_plotdata([(config_hash(cfg), series)], os.path.join(outdir, "plotdata.csv"))
     outputs.append("plotdata.csv")
     _write_effective_config(cfg, outdir, outputs)
-    return _finish(cfg, outdir, outputs, cfg.audit.seed, t_start)
+    return _finish(cfg, outdir, outputs, cfg.audit.seed, t_start, {"propagation_steps": steps})
 
 
 def run_spectrum(cfg: ExperimentConfig, outdir, grid_refine=0):

@@ -7,10 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from formevol import AffineHamiltonian, ConfigError, runs
+from formevol import AffineHamiltonian, ConfigError, propagate, runs
 from formevol.cli import main
 from formevol.config import config_hash, default_config, parse_config, serialize_config
-from formevol.runs import emit_plotdata, run_audit, run_convergence, run_propagation
+from formevol.runs import (
+    build_model,
+    emit_plotdata,
+    initial_state,
+    run_audit,
+    run_convergence,
+    run_propagation,
+)
 
 from helpers import generic_twin
 
@@ -296,6 +303,68 @@ class TestCli:
         assert code == 2
         assert "unitarity defect is not finite at t = " in err
         assert "truncated expansion diverged" in err and "raise substeps" in err
+
+    STEP_SWEEP = """
+[model]
+kind = circle_delta
+K = 1
+alpha = sin
+alpha_amplitude = 5.0
+T = 6.283185307179586
+
+[propagator]
+{options}
+n_list =
+steps_list = 16,32
+
+[initial]
+mode = 0
+"""
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"method": "yosida", "yosida_n": 8},
+         {"method": "dyson", "order": 2, "yosida_n": 8}],
+    )
+    def test_step_sweep_propagates_the_regularized_family(self, tmp_path, options):
+        text = self.STEP_SWEEP.format(options="\n".join(f"{k} = {v}" for k, v in options.items()))
+        out = tmp_path / "out"
+        assert main(["converge", "--config", self._write(tmp_path, text), "--out", str(out)]) == 0
+        cfg = parse_config(text)
+        tdh = build_model(cfg)
+        psi0 = initial_state(cfg, tdh)
+
+        def final(steps, **kw):
+            return propagate(tdh, psi0, 0.0, cfg.model.T, substeps=steps, **kw).final
+
+        rows = (out / "convergence_steps.csv").read_text().strip().splitlines()[1:]
+        errs = [float(row.split(",")[1]) for row in rows]
+        expected = [np.linalg.norm(final(N, **options) - final(128, **options)) for N in (16, 32)]
+        assert errs == pytest.approx(expected, rel=0, abs=1e-13)
+
+    def test_diverged_step_sweep_is_a_named_numerical_error(self, tmp_path, capsys):
+        # The K = 16 model of configs/propagate_circle.ini, order-4 Dyson: the
+        # 128-step reference has dt * |H| ~ 12.6, and its state overflows.
+        text = (CONFIGS / "propagate_circle.ini").read_text()
+        text = text.replace("method = magnus2", "method = dyson\norder = 4\nn_list =\nsteps_list = 16,32")
+        cfg = self._write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["converge", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "not finite at t = " in err and "raise substeps" in err
+
+    @pytest.mark.parametrize(
+        "command, config, steps",
+        # converge: (5 + 1) x 1,024 Yosida steps, 4 x 256 + 64 + 128 + 256 sweep steps.
+        [("converge", "converge_circle.ini", 7616), ("propagate", "propagate_circle.ini", 512)],
+    )
+    def test_run_record_counts_propagation_steps(self, tmp_path, command, config, steps):
+        out = tmp_path / "out"
+        assert main([command, "--config", str(CONFIGS / config), "--out", str(out)]) == 0
+        record = json.loads((out / "run_record.json").read_text())
+        assert record["counters"]["propagation_steps"] == steps
 
 
 class TestAffinePathArtifacts:

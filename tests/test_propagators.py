@@ -15,6 +15,7 @@ from formevol import (
     build_table,
     circle_delta_model,
     dyson_propagator,
+    final_state,
     form_operator_norm,
     propagate,
     propagator_axioms,
@@ -617,3 +618,72 @@ class TestBatchedSteps:
         Hn = yosida_operator(H, 16, 30.0)
         for j in range(H.shape[0]):
             assert np.array_equal(Hn[j], reference_yosida_operator(H[j], 16, 30.0))
+
+
+#: Propagation options of the state-path tests: every method, Dyson with and
+#: without the Yosida regularization.
+STATE_CASES = [
+    {"method": "magnus2"},
+    {"method": "magnus4"},
+    {"method": "yosida", "yosida_n": 4},
+    {"method": "yosida", "yosida_n": 64},
+    {"method": "yosida", "yosida_n": 4, "inner_scheme": "magnus4"},
+] + [
+    {"method": "dyson", "order": order, "yosida_n": n} for order in (2, 4) for n in (None, 8)
+]
+
+
+class TestFinalState:
+    """Steps applied to the state against the final row of the table."""
+
+    @pytest.mark.parametrize("options", STATE_CASES, ids=lambda o: "-".join(map(str, o.values())))
+    @pytest.mark.parametrize("family", ["sin", "kink", "rotating_frame"])
+    def test_matches_the_table_path(self, family, options, blocks_of_32):
+        tdh = FAMILIES[family]()
+        blocks_of_32(tdh.dim)
+        psi0 = random_unit_vector(np.random.default_rng(7), tdh.dim)
+        t1 = tdh.t_span[1]
+        for s, t in ((0.0, t1), (t1, 0.3)):  # forward, and backward from the end
+            for substeps in edge_substeps(tdh):
+                expected = propagate(tdh, psi0, s, t, substeps=substeps, **options).final
+                state = final_state(tdh, psi0, s, t, substeps=substeps, **options)
+                # Relative to the norm: one order-4 Dyson step over the circle's
+                # whole span grows the state to ~1e4; the unitary methods keep 1.
+                scale = max(1.0, float(np.linalg.norm(expected)))
+                assert np.max(np.abs(state - expected)) <= 1e-13 * scale
+
+    def test_holds_no_table(self):
+        # K = 16 with 2,048 magnus2 steps: the (2049, 33, 33) table would take
+        # 35.7 MB; the state path peaked at 3.0 MiB (block stacks and eigensolves).
+        tdh = circle_delta_model(16, alpha_profile("trigonometric", amplitude=1.0), TWO_PI)
+        psi0 = np.eye(tdh.dim, dtype=complex)[16]
+        tracemalloc.start()
+        try:
+            final_state(tdh, psi0, 0.0, TWO_PI, substeps=2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
+    def test_divergence_is_a_numerical_error_without_warnings(self):
+        # configs/propagate_circle.ini at 64 steps with the order-4 expansion:
+        # dt * |H| ~ 25, and the state's norm overflows by the end of the
+        # second block of 30 steps (t = 5.89).
+        tdh = circle_delta_model(16, alpha_profile("trigonometric", amplitude=1.0), TWO_PI)
+        psi0 = np.eye(tdh.dim, dtype=complex)[16]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"not finite at t = .*raise substeps"):
+                final_state(tdh, psi0, 0.0, TWO_PI, method="dyson", order=4, substeps=64)
+
+    def test_rejects_what_the_table_path_rejects(self):
+        tdh = constant_family(np.eye(2))
+        psi0 = np.array([1.0, 0.0])
+        for options in ({"method": "yosida"}, {"method": "euler"}, {"substeps": 0},
+                        {"method": "dyson", "order": 5}):
+            with pytest.raises(ArgumentError):
+                propagate(tdh, psi0, 0.0, 1.0, **options)
+            with pytest.raises(ArgumentError):
+                final_state(tdh, psi0, 0.0, 1.0, **options)
+        with pytest.raises(ArgumentError):
+            final_state(tdh, np.zeros(2), 0.0, 1.0)
