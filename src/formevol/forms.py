@@ -34,11 +34,14 @@ HERMITICITY_RTOL = 1e-13
 def hermitize(M, rtol=HERMITICITY_RTOL, context=""):
     """Return the Hermitian part of ``M``, or of each slice of a ``(..., d, d)`` stack.
 
-    Raises :class:`NotHermitianError` if ``max |M - M*|`` exceeds
+    The dtype decides the arithmetic: real input gives a float64 (symmetric)
+    result, complex input a complex128 one, whatever the values.  Raises
+    :class:`NotHermitianError` if ``max |M - M*|`` exceeds
     ``rtol * max(max|M|, 1)``, slice by slice; for a stack, ``context`` may be
     a callable mapping the flat index of the first failing slice to its label.
     """
-    A = np.asarray(M, dtype=complex)
+    A = np.asarray(M)
+    A = A.astype(np.result_type(A, np.float64), copy=False)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ArgumentError(f"{context or 'matrix'} must be square, got shape {A.shape}")
     Ah = A.conj().swapaxes(-1, -2)

@@ -209,19 +209,20 @@ class TimeDependentHamiltonian:
 
         Slices come from the per-time callable; the stack is checked Hermitian
         slice by slice (errors name the first failing time) and symmetrized.
-        ``None`` when that derivative was not supplied.
+        It is float64 when every slice is real and complex128 when any slice
+        is complex (see :func:`forms.hermitize`).  ``None`` when that
+        derivative was not supplied.
         """
         fn = self._offered(order)
         if fn is None:
             return None
         name = ("H", "dH/dt", "d2H/dt2")[order]
         times, shape = np.asarray(times, dtype=float), (self.dim, self.dim)
-        out = np.empty((times.size, *shape), dtype=complex)
-        for j, t in enumerate(times):
-            M = fn(t)
-            if np.shape(M) != shape:
-                raise ArgumentError(f"{name}({t}) has shape {np.shape(M)}, expected {shape}")
-            out[j] = M
+        slices = [np.asarray(fn(t)) for t in times]
+        for t, M in zip(times, slices):
+            if M.shape != shape:
+                raise ArgumentError(f"{name}({t}) has shape {M.shape}, expected {shape}")
+        out = np.array(slices) if slices else np.empty((0, *shape))
         return hermitize(out, rtol=1e-12, context=lambda j: f"{name}({times[j]})")
 
     def __call__(self, t):
@@ -260,7 +261,7 @@ class AffineHamiltonian(TimeDependentHamiltonian):
     real values, or one scalar for all of them.  A ``None`` derivative
     withdraws that order from the family.  ``H0`` and each ``B_r`` are checked
     Hermitian once, here; a stack calls each coefficient once and broadcasts
-    it over the fixed matrices.
+    it over the fixed matrices, in their dtype: float64 when all are real.
     """
 
     def __init__(self, H0, terms, t_span, semibound, label="", source=None):
@@ -280,7 +281,7 @@ class AffineHamiltonian(TimeDependentHamiltonian):
         if coefficients is None:
             return None
         times = np.asarray(times, dtype=float)
-        out = np.zeros((times.size, self.dim, self.dim), dtype=complex)
+        out = np.zeros((times.size, self.dim, self.dim), dtype=np.result_type(self.H0, *self.B))
         for r, (f, B) in enumerate(zip(coefficients, self.B)):
             c = np.broadcast_to(np.asarray(f(times), dtype=float), times.shape)[:, None, None]
             if r == 0:

@@ -101,7 +101,7 @@ class PropagatorTable:
     """Grid of propagators ``U(times[j], s)`` with method metadata.
 
     ``matrices[0]`` is exactly the identity.  ``diagnostics`` records the
-    per-entry unitarity defect ``|U* U - I|`` and the step sizes.
+    per-entry unitarity defect ``|U* U - I|``.
     """
 
     s: float
@@ -148,8 +148,7 @@ def _finish_table(s, times, U, method, params):
                 f"{times[block][bad[0]]}; the truncated expansion diverged, raise substeps"
             )
         defects[block] = hermitian_spectral_norm(G)
-    diagnostics = {"unitarity_defect": defects, "step_sizes": np.diff(times)}
-    return PropagatorTable(float(s), times, U, method, params, diagnostics)
+    return PropagatorTable(float(s), times, U, method, params, {"unitarity_defect": defects})
 
 
 def _grid(s, t, substeps):

@@ -131,16 +131,16 @@ def _fd_derivative(tdh, times, h):
     stuck = np.flatnonzero(~inner & ~forward & (times - 2 * h < t0))
     if stuck.size:
         raise GridError(f"span too short for a finite-difference stencil at t = {times[stuck[0]]}")
-    D = np.empty((times.size, tdh.dim, tdh.dim), dtype=complex)
-    if inner.any():
-        D[inner] = _central_difference(tdh, times[inner], h)
+    central = _central_difference(tdh, times[inner], h)
     edge, forward = times[~inner], forward[~inner]
     s = np.where(forward, h, -h)
     H0, H1, H2 = tdh.stack(edge), tdh.stack(edge + s), tdh.stack(edge + 2 * s)
     numerator = np.where(
         forward[:, None, None], -3.0 * H0 + 4.0 * H1 - H2, 3.0 * H0 - 4.0 * H1 + H2
     )
-    D[~inner] = hermitize(numerator / (2.0 * h), rtol=np.inf)
+    one_sided = hermitize(numerator / (2.0 * h), rtol=np.inf)
+    D = np.empty((times.size, tdh.dim, tdh.dim), dtype=np.result_type(central, one_sided))
+    D[inner], D[~inner] = central, one_sided
     return D
 
 
@@ -269,11 +269,11 @@ def check_S2(tdh, grid, fd_step=None, allow_fd=True) -> float:
 def _sandwiched_stack(tdh, grid, order, t0=None, allow_fd=True):
     t_ref = tdh.t_span[0] if t0 is None else float(t0)
     inv_sqrt = tdh.scale_at(t_ref).power_matrix(-0.5)
-    W = np.empty((grid.size, tdh.dim, tdh.dim), dtype=complex)
+    W = []
     for block in blocks(grid.size, tdh.dim):
         S = inv_sqrt @ _derivative_stack(tdh, grid[block], order, allow_fd=allow_fd) @ inv_sqrt
-        W[block] = 0.5 * (S + S.conj().swapaxes(-1, -2))
-    return W
+        W.append(0.5 * (S + S.conj().swapaxes(-1, -2)))
+    return np.concatenate(W)
 
 
 #: Pairs per batched eigensolve in the K2 branch and bound.
@@ -311,8 +311,9 @@ def _k2_band_maxima(W, grid, thresholds, counters=None):
     # Relative margin for the roundoff of the norms, the Gram product and the
     # eigensolver; the absolute term covers squares that underflow.
     slack = 16.0 * d * d * _EPS
+    # Rows of a real stack as they are; a complex one's real and imaginary parts side by side.
     flat = W.reshape(N, -1)
-    flat = np.concatenate([flat.real, flat.imag], axis=1)
+    flat = np.concatenate([flat.real, flat.imag], axis=1) if np.iscomplexobj(W) else flat.copy()
     # Scaled in place and without an abs() copy: the largest array of an audit.
     _, exponent = np.frexp(max(flat.max(), -flat.min()))
     np.ldexp(flat, -exponent, out=flat)

@@ -16,7 +16,7 @@ import json
 import os
 import tempfile
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -99,17 +99,13 @@ class RunRecord:
     versions: dict
     wall_time_s: float
     outputs: list
+    #: dtype of the model's ``H`` stack, ``"float64"`` or ``"complex128"``: the
+    #: arithmetic (real symmetric or complex Hermitian LAPACK) the run took.
+    arithmetic: str
     counters: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "versions": self.versions,
-            "wall_time_s": self.wall_time_s,
-            "outputs": self.outputs,
-            "counters": self.counters,
-        }
+        return asdict(self)
 
 
 def _versions():
@@ -216,13 +212,14 @@ def _coefficient_labels(cfg, tdh, indices):
 # ---------------------------------------------------------------------------
 
 
-def _finish(cfg, outdir, outputs, seed, t_start, counters=None):
+def _finish(cfg, outdir, outputs, seed, t_start, tdh, counters=None):
     record = RunRecord(
         config_hash=config_hash(cfg),
         seed=seed,
         versions=_versions(),
         wall_time_s=_time.perf_counter() - t_start,
         outputs=sorted(outputs),
+        arithmetic=tdh.stack(tdh.t_span[:1]).dtype.name,
         counters=counters or {},
     )
     write_json(os.path.join(outdir, "run_record.json"), record.to_dict())
@@ -299,7 +296,7 @@ def run_audit(cfg: ExperimentConfig, outdir, grid_refine=0):
     outputs.append("plotdata.csv")
 
     _write_effective_config(cfg, outdir, outputs)
-    return report, _finish(cfg, outdir, outputs, cfg.audit.seed, t_start, report.counters)
+    return report, _finish(cfg, outdir, outputs, cfg.audit.seed, t_start, tdh, report.counters)
 
 
 def run_propagation(cfg: ExperimentConfig, outdir, grid_refine=0):
@@ -371,7 +368,7 @@ def run_propagation(cfg: ExperimentConfig, outdir, grid_refine=0):
 
     _write_effective_config(cfg, outdir, outputs)
     counters = {"propagation_steps": traj.times.size - 1}
-    return report, _finish(cfg, outdir, outputs, cfg.audit.seed, t_start, counters)
+    return report, _finish(cfg, outdir, outputs, cfg.audit.seed, t_start, tdh, counters)
 
 
 def run_convergence(cfg: ExperimentConfig, outdir):
@@ -426,7 +423,7 @@ def run_convergence(cfg: ExperimentConfig, outdir):
     emit_plotdata([(config_hash(cfg), series)], os.path.join(outdir, "plotdata.csv"))
     outputs.append("plotdata.csv")
     _write_effective_config(cfg, outdir, outputs)
-    return _finish(cfg, outdir, outputs, cfg.audit.seed, t_start, {"propagation_steps": steps})
+    return _finish(cfg, outdir, outputs, cfg.audit.seed, t_start, tdh, {"propagation_steps": steps})
 
 
 def run_spectrum(cfg: ExperimentConfig, outdir, grid_refine=0):
@@ -445,7 +442,7 @@ def run_spectrum(cfg: ExperimentConfig, outdir, grid_refine=0):
     emit_plotdata([(config_hash(cfg), series)], os.path.join(outdir, "plotdata.csv"))
     outputs.append("plotdata.csv")
     _write_effective_config(cfg, outdir, outputs)
-    return _finish(cfg, outdir, outputs, cfg.audit.seed, t_start)
+    return _finish(cfg, outdir, outputs, cfg.audit.seed, t_start, tdh)
 
 
 def emit_plotdata(records, path):

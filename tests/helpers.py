@@ -99,11 +99,12 @@ def reference_profile(profile, t, order):
 
 def reference_callables(tdh):
     """``(H, dH/dt, d2H/dt2)`` per-time callables of a circle, ``constant`` or
-    ``commuting_diagonal`` family; ``None`` for a derivative it does not offer."""
+    ``commuting_diagonal`` family, in the family's dtype; ``None`` for a
+    derivative it does not offer."""
     model = tdh.source
     if isinstance(model, CircleDeltaModel):
-        kinetic = np.diag(model.mode_numbers**2.0).astype(complex)
-        ones = np.ones((model.dim, model.dim), dtype=complex)
+        kinetic = np.diag(model.mode_numbers**2.0)
+        ones = np.ones((model.dim, model.dim))
         a = model.alpha
         return (
             lambda t: kinetic + (reference_profile(a, t, 0) / (2.0 * math.pi)) * ones,
@@ -121,9 +122,9 @@ def reference_callables(tdh):
         offsets, rates = model.params["offsets"], model.params["rates"]
         n = offsets.size
         return (
-            lambda t: np.diag(offsets + rates * t).astype(complex),
-            lambda t: np.diag(rates).astype(complex),
-            lambda t: np.zeros((n, n), dtype=complex),
+            lambda t: np.diag(offsets + rates * t),
+            lambda t: np.diag(rates),
+            lambda t: np.zeros((n, n)),
         )
     raise ValueError(f"no reference callables for {tdh!r}")
 

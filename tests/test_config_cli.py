@@ -366,6 +366,38 @@ mode = 0
         record = json.loads((out / "run_record.json").read_text())
         assert record["counters"]["propagation_steps"] == steps
 
+    ARITHMETIC = """
+[model]
+kind = {kind}
+K = 1
+dim = 3
+alpha = sin
+T = 1.0
+
+[audit]
+grid_points = 17
+rayleigh_samples = 10
+
+[time]
+steps = 16
+
+[propagator]
+n_list = 4,8
+steps_list = 4,8
+"""
+
+    @pytest.mark.parametrize("command", ["audit", "propagate", "converge", "spectrum"])
+    @pytest.mark.parametrize(
+        "kind, arithmetic",
+        [("circle_delta", "float64"), ("commuting_diagonal", "float64"),
+         ("rotating_frame", "complex128"), ("constant", "complex128")],
+    )
+    def test_run_record_names_the_arithmetic(self, tmp_path, command, kind, arithmetic):
+        cfg = self._write(tmp_path, self.ARITHMETIC.format(kind=kind))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        record = json.loads((tmp_path / "out" / "run_record.json").read_text())
+        assert record["arithmetic"] == arithmetic
+
 
 class TestAffinePathArtifacts:
     """The affine model form changes no artifact: every subcommand on a shipped
@@ -395,7 +427,9 @@ class TestAffinePathArtifacts:
         names = sorted(os.listdir(tmp_path / "affine"))
         assert names == sorted(os.listdir(tmp_path / "generic"))
         for name in names:
-            if name == "run_record.json":  # the one artifact carrying timing
-                continue
             affine, generic = (tmp_path / side / name for side in ("affine", "generic"))
+            if name == "run_record.json":  # the one artifact carrying timing
+                records = [json.loads(path.read_text()) for path in (affine, generic)]
+                assert [r["arithmetic"] for r in records] == ["float64", "float64"]
+                continue
             assert affine.read_bytes() == generic.read_bytes(), name

@@ -205,6 +205,34 @@ class TestHermitizeStack:
             hermitize(np.zeros(4))
 
 
+class TestHermitizeDtype:
+    """The dtype of the input, never its values, decides real or complex arithmetic."""
+
+    def test_real_input_stays_float64(self):
+        M = np.array([[1.0, 2.0], [2.0 + 1e-15, -3.0]])
+        out = hermitize(M)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, 0.5 * (M + M.T))
+        assert hermitize(np.stack([M, 2.0 * M])).dtype == np.float64
+        assert hermitize([[1, 2], [2, 1]]).dtype == np.float64
+        assert hermitize(M.astype(np.float32)).dtype == np.float64
+
+    def test_complex_input_stays_complex_with_a_zero_imaginary_part(self):
+        M = np.array([[1.0, 2.0], [2.0, -3.0]])
+        for dtype in (np.complex64, np.complex128):
+            out = hermitize(M.astype(dtype))
+            assert out.dtype == np.complex128
+            assert np.array_equal(out, M)
+
+    def test_asymmetric_real_matrix_is_rejected(self):
+        with pytest.raises(NotHermitianError):
+            hermitize(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        stack = np.stack([np.eye(2), np.array([[1.0, 1e-9], [0.0, 1.0]])])
+        with pytest.raises(NotHermitianError) as err:
+            hermitize(stack, context=lambda j: f"slice {j}")
+        assert "slice 1" in str(err.value)
+
+
 class TestBlocks:
     def test_blocks_cover_the_range_in_order(self):
         for n, dim in [(0, 3), (1, 3), (257, 33), (1025, 3), (5, 200)]:

@@ -21,6 +21,8 @@ from formevol import (
     synthetic_family,
 )
 
+from formevol.regularity import _derivative_stack, differentiate_form
+
 from helpers import generic_twin, reference_callables, reference_profile
 
 TWO_PI = 2.0 * math.pi
@@ -369,6 +371,7 @@ def assert_stacks_match_callables(tdh, grid):
         assert (stack is None) == (fn is None) == (expected is None)
         if fn is not None:
             assert stack.shape == (grid.size, tdh.dim, tdh.dim)
+            assert stack.dtype == expected.dtype
             assert np.array_equal(stack, expected)
 
 
@@ -428,3 +431,67 @@ class TestAffineStack:
     def test_circle_parameter_space(self, K, amplitude, phase):
         prof = alpha_profile("trigonometric", amplitude=amplitude, phase=phase)
         assert_stacks_match_callables(circle_delta_model(K, prof, TWO_PI), np.linspace(0, TWO_PI, 9))
+
+
+#: Real families: every stack, analytic or by finite differences, is float64.
+REAL_FAMILIES = {
+    "circle_sin": lambda: circle_delta_model(2, AFFINE_PROFILES["sin"], 1.0),
+    "circle_kink": lambda: circle_delta_model(2, AFFINE_PROFILES["kink"], 1.0),
+    "circle_table": lambda: circle_delta_model(2, AFFINE_PROFILES["table"], 1.0),
+    "commuting_diagonal": lambda: synthetic_family("commuting_diagonal", 3, 1.0),
+    "real_constant": lambda: synthetic_family(
+        "constant", 2, 1.0, {"matrix": [[1.0, 2.0], [2.0, -3.0]]}
+    ),
+}
+
+
+class TestDtypeRule:
+    """The dtype of a family's matrices decides its arithmetic: real families
+    stack float64, complex ones complex128, whatever the values."""
+
+    GRID = np.linspace(0.0, 1.0, 9)
+
+    @pytest.mark.parametrize("family", sorted(REAL_FAMILIES))
+    def test_real_families_stack_float64(self, family):
+        tdh = REAL_FAMILIES[family]()
+        for order in range(3):
+            analytic = tdh.stack(self.GRID, order)
+            assert analytic is None or analytic.dtype == np.float64
+            # The finite-difference fallback where the order is not offered.
+            assert _derivative_stack(tdh, self.GRID, order).dtype == np.float64
+        assert differentiate_form(tdh, 0.5).dtype == np.float64
+        assert tdh(0.5).dtype == tdh.shifted(self.GRID).dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("rotating_frame", {"seed": 2}), ("constant", {"seed": 4}),
+         ("constant", {"matrix": np.eye(2, dtype=complex)})],
+    )
+    def test_complex_families_stay_complex128(self, kind, params):
+        tdh = synthetic_family(kind, 2, 1.0, params)
+        for order in range(2):
+            assert tdh.stack(self.GRID, order).dtype == np.complex128
+            assert _derivative_stack(tdh, self.GRID, order).dtype == np.complex128
+
+    def test_per_time_callables_take_the_dtype_of_their_slices(self):
+        def family(fn):
+            return TimeDependentHamiltonian(2, fn, (0.0, 1.0), Semibound(0.0),
+                                            derivative_fn=lambda t: np.zeros((2, 2)))
+
+        real = family(lambda t: np.diag([1.0, 2.0 + t]))
+        assert real.stack(self.GRID).dtype == np.float64
+        assert _derivative_stack(real, self.GRID, 2).dtype == np.float64
+        # One complex slice makes the whole stack complex, written without loss.
+        mixed = family(lambda t: np.array([[1.0, 0.5j], [-0.5j, 2.0]]) if t == 0.5 else np.eye(2))
+        stack = mixed.stack(self.GRID)
+        assert stack.dtype == np.complex128
+        assert stack[4, 0, 1] == 0.5j and np.array_equal(stack[3], np.eye(2))
+        assert mixed.stack([]).shape == (0, 2, 2)
+        # Finite differences: complex after t = 0.6, in the central or the one-sided part.
+        late = TimeDependentHamiltonian(
+            2, lambda t: np.array([[1.0, 0.5j * t], [-0.5j * t, 2.0]]) if t > 0.6 else np.eye(2),
+            (0.0, 1.0), Semibound(0.0),
+        )
+        for times, dtype in [([0.0, 0.5], np.float64), ([0.0, 0.5, 1.0], np.complex128),
+                             ([0.5, 0.9], np.complex128), ([1.0], np.complex128)]:
+            assert _derivative_stack(late, np.array(times), 1).dtype == dtype

@@ -327,10 +327,10 @@ class TestK2BranchAndBound:
         rng = np.random.default_rng(0)
         for _ in range(50):
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            D = np.outer(v, v.conj())
-            for k in (1, 2, 3, 4):
-                W = np.stack([np.zeros_like(D)] + [D * (1.0 - k * 2.0**-53)] * 6 + [D])
-                assert check_K2(tdh, grid, stack=W) == brute_force_k2_moduli(W, grid)
+            for D in (np.outer(v, v.conj()), np.outer(v.real, v.real)):  # complex and real stacks
+                for k in (1, 2, 3, 4):
+                    W = np.stack([np.zeros_like(D)] + [D * (1.0 - k * 2.0**-53)] * 6 + [D])
+                    assert check_K2(tdh, grid, stack=W) == brute_force_k2_moduli(W, grid)
 
     def test_stack_must_match_grid_and_be_finite(self):
         tdh = constant_family(np.eye(2))
