@@ -28,11 +28,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ArgumentError, GridError, NotPositiveDefiniteError, NumericalError
 from .forms import blocks, hermitian_spectral_norm, hermitize
-from .models import TimeDependentHamiltonian
 
 #: Machine scale used by the K2 "modulus is numerically zero" test.
 _EPS = float(np.finfo(float).eps)
@@ -180,28 +178,52 @@ def _require_positive(lowest, times):
         raise NotPositiveDefiniteError(lowest[bad[0]], context=f"A({times[bad[0]]})")
 
 
+def _reference(tdh, t0):
+    """The reference time, default the start of the span, and the scale of ``A`` there.
+    The semibound holds on the span only, so a time outside it is refused."""
+    t_ref = tdh.t_span[0] if t0 is None else float(t0)
+    start, stop = tdh.t_span
+    if not start <= t_ref <= stop:
+        raise GridError(f"reference time t0 = {t_ref} lies outside the span [{start}, {stop}]")
+    return t_ref, tdh.scale_at(t_ref)
+
+
+def _sandwich(factor, D):
+    """Hermitian part of ``factor @ D[j] @ factor`` for each slice."""
+    S = factor @ D @ factor
+    return 0.5 * (S + S.conj().swapaxes(-1, -2))
+
+
+def _over_blocks(tdh, grid, per_block):
+    """``per_block(times)`` on each block of ``grid``, its arrays concatenated in grid order."""
+    parts = [per_block(grid[block]) for block in blocks(grid.size, tdh.dim)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
 # ---------------------------------------------------------------------------
 # S1: uniform comparability against a reference time
 # ---------------------------------------------------------------------------
 
 
+def _pencil_extremes(A, factor, times):
+    """Smallest and largest eigenvalues of the pencils ``(A[j], A_ref)``, ``factor = A_ref^{-1/2}``,
+    from the batched eigensolve of ``factor A[j] factor``.  By Sylvester's law of
+    inertia the lowest has the sign of ``A[j]``'s lowest eigenvalue."""
+    w = np.linalg.eigvalsh(factor @ A @ factor)
+    _require_positive(w[:, 0], times)
+    return w[:, 0], w[:, -1]
+
+
 def s1_pencil_profile(tdh, grid, t0=None):
     """Extremal eigenvalues of the pencil ``(A(t), A(t0))`` along the grid."""
     grid = _check_grid(tdh, grid)
-    t_ref = tdh.t_span[0] if t0 is None else float(t0)
-    A0 = tdh.shifted(t_ref)
-    _require_positive(np.linalg.eigvalsh(A0)[:1], [t_ref])
-    return _pencil_extremes(tdh, grid, A0)
+    factor = _reference(tdh, t0)[1].power_matrix(-0.5)
+    return _over_blocks(
+        tdh, grid, lambda times: _pencil_extremes(tdh.shifted(times), factor, times))
 
 
-def _pencil_extremes(tdh, grid, A_ref):
-    """Smallest and largest eigenvalues of the pencil ``(A(t), A_ref)`` on the grid."""
-    lo, hi = np.empty((2, grid.size))
-    for block in blocks(grid.size, tdh.dim):
-        w = scipy.linalg.eigh(tdh.shifted(grid[block]), A_ref, eigvals_only=True)
-        _require_positive(w[:, 0], grid[block])
-        lo[block], hi[block] = w[:, 0], w[:, -1]
-    return lo, hi
+def _s1_constant(lo, hi):
+    return float(np.sqrt(max(hi.max(), 1.0 / lo.min())))
 
 
 def check_S1(tdh, grid, t0=None) -> float:
@@ -211,8 +233,7 @@ def check_S1(tdh, grid, t0=None) -> float:
     ``(A(t), A(t0))`` two-sidedly on the grid; the reference time defaults to
     the start of the span.
     """
-    lo, hi = s1_pencil_profile(tdh, grid, t0)
-    return float(np.sqrt(max(hi.max(), 1.0 / lo.min())))
+    return _s1_constant(*s1_pencil_profile(tdh, grid, t0))
 
 
 # ---------------------------------------------------------------------------
@@ -230,29 +251,31 @@ def s2_profile(tdh, grid, fd_step=None, allow_fd=True):
     to :data:`S2_CONSISTENCY_TOL`; disagreement raises ``NumericalError``.
     """
     grid = _check_grid(tdh, grid)
-    direct, dual = np.empty((2, grid.size))
-    for block in blocks(grid.size, tdh.dim):
-        Hdot = _derivative_stack(tdh, grid[block], 1, h=fd_step, allow_fd=allow_fd)
-        w, Q = np.linalg.eigh(tdh.shifted(grid[block]))
-        _require_positive(w[:, 0], grid[block])
-        w, Qh = w[:, None, :], Q.conj().swapaxes(-1, -2)
-        inv_sqrt = (Q * (1.0 / np.sqrt(w))) @ Qh
-        S = inv_sqrt @ Hdot @ inv_sqrt
-        direct[block] = hermitian_spectral_norm(0.5 * (S + S.conj().swapaxes(-1, -2)))
 
-        inv = (Q * (1.0 / w)) @ Qh
-        sqrtA = (Q * np.sqrt(w)) @ Qh
-        B = -inv @ Hdot @ inv
-        S2 = sqrtA @ B @ sqrtA
-        dual[block] = hermitian_spectral_norm(0.5 * (S2 + S2.conj().swapaxes(-1, -2)))
+    def bounds(times):
+        Hdot = _derivative_stack(tdh, times, 1, h=fd_step, allow_fd=allow_fd)
+        return _derivative_bounds(tdh.shifted(times), Hdot, times)[:2]
+
+    return _over_blocks(tdh, grid, bounds)
+
+
+def _derivative_bounds(A, Hdot, times):
+    """Both derivative bounds at each slice, checked to agree, and ``A``'s lowest eigenvalue."""
+    w, Q = np.linalg.eigh(A)
+    _require_positive(w[:, 0], times)
+    lowest = w[:, 0]
+    w, Qh = w[:, None, :], Q.conj().swapaxes(-1, -2)
+    direct = hermitian_spectral_norm(_sandwich((Q * (1.0 / np.sqrt(w))) @ Qh, Hdot))
+    inv = (Q * (1.0 / w)) @ Qh
+    dual = hermitian_spectral_norm(_sandwich((Q * np.sqrt(w)) @ Qh, -inv @ Hdot @ inv))
     bad = np.flatnonzero(np.abs(direct - dual) > S2_CONSISTENCY_TOL * np.maximum(1.0, direct))
     if bad.size:
         j = bad[0]
         raise NumericalError(
-            f"derivative-bound formulas disagree at t = {grid[j]}: "
+            f"derivative-bound formulas disagree at t = {times[j]}: "
             f"{direct[j]:.15e} vs {dual[j]:.15e}"
         )
-    return direct, dual
+    return direct, dual, lowest
 
 
 def check_S2(tdh, grid, fd_step=None, allow_fd=True) -> float:
@@ -267,13 +290,9 @@ def check_S2(tdh, grid, fd_step=None, allow_fd=True) -> float:
 
 
 def _sandwiched_stack(tdh, grid, order, t0=None, allow_fd=True):
-    t_ref = tdh.t_span[0] if t0 is None else float(t0)
-    inv_sqrt = tdh.scale_at(t_ref).power_matrix(-0.5)
-    W = []
-    for block in blocks(grid.size, tdh.dim):
-        S = inv_sqrt @ _derivative_stack(tdh, grid[block], order, allow_fd=allow_fd) @ inv_sqrt
-        W.append(0.5 * (S + S.conj().swapaxes(-1, -2)))
-    return np.concatenate(W)
+    factor = _reference(tdh, t0)[1].power_matrix(-0.5)
+    return _over_blocks(tdh, grid, lambda times: (
+        _sandwich(factor, _derivative_stack(tdh, times, order, allow_fd=allow_fd)),))[0]
 
 
 #: Pairs per batched eigensolve in the K2 branch and bound.
@@ -452,16 +471,32 @@ class AssumptionReport:
     counters: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "t0": self.t0,
-            "k2_order": self.k2_order,
-            "s1_constant": self.s1_constant,
-            "s1_operator_constant": self.s1_operator_constant,
-            "s1_constant_unit_shift": self.s1_constant_unit_shift,
-            "s2_bound": self.s2_bound,
-            "k2_modulus": [[d, w] for d, w in self.k2_modulus],
-            "verdicts": self.verdicts,
-        }
+        names = ("t0", "k2_order", "s1_constant", "s1_operator_constant",
+                 "s1_constant_unit_shift", "s2_bound", "verdicts")
+        summary = {name: getattr(self, name) for name in names}
+        return {**summary, "k2_modulus": [[d, w] for d, w in self.k2_modulus]}
+
+
+def _grid_pass(tdh, grid, factors, k2_order, allow_fd):
+    """One walk over the blocks for :func:`bridge_check`: each block stacks ``H``
+    and ``dH/dt`` once, and the K2 stack reuses one of them for ``k2_order`` 0 or 1.
+    Returns the extremes of the pencil against each factor, both derivative bounds,
+    the lowest eigenvalue of ``A`` and the K2 stack sandwiched by ``factors[0]``."""
+    shift = (tdh.semibound.m + 1.0) * np.eye(tdh.dim)
+
+    def block(times):
+        H = tdh.stack(times)
+        A = H + shift
+        pencils = [w for factor in factors for w in _pencil_extremes(A, factor, times)]
+        Hdot = _derivative_stack(tdh, times, 1, allow_fd=allow_fd)
+        bounds = _derivative_bounds(A, Hdot, times)
+        if k2_order in (0, 1):
+            D = Hdot if k2_order else H
+        else:
+            D = _derivative_stack(tdh, times, k2_order, allow_fd=allow_fd)
+        return (*pencils, *bounds, _sandwich(factors[0], D))
+
+    return _over_blocks(tdh, grid, block)
 
 
 def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9, allow_fd=True) -> AssumptionReport:
@@ -474,32 +509,29 @@ def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9, allow_fd=True) -
     smoothness hypothesis holds automatically here: every shifted form is a
     positive definite matrix on the full coefficient space.  The returned
     report always carries verdicts; nothing raises on a failed audit.
+
+    The grid is walked once.  ``counters`` has ``h_slices``, the slices of ``H``
+    and its derivatives stacked (a finite-difference derivative counting as
+    one), and ``eigensolved_mats``, the matrices eigensolved.
     """
     grid = _check_grid(tdh, grid)
-    t_ref = tdh.t_span[0] if t0 is None else float(t0)
-
-    lo, hi = s1_pencil_profile(tdh, grid, t_ref)
-    c_norm = float(np.sqrt(max(hi.max(), 1.0 / lo.min())))
-
-    # Same pencil against A(t0) + I: reference quadratic form with an extra
-    # ambient-norm term folded in.
-    lo_u, hi_u = _pencil_extremes(tdh, grid, tdh.shifted(t_ref) + np.eye(tdh.dim))
-    c_unit = float(np.sqrt(max(hi_u.max(), 1.0 / lo_u.min())))
-
-    s2_direct, s2_dual = s2_profile(tdh, grid, allow_fd=allow_fd)
+    t_ref, scale = _reference(tdh, t0)
+    factor = scale.power_matrix(-0.5)
+    # The second pencil is against A(t0) + I: the reference quadratic form
+    # with an extra ambient-norm term folded in.
+    lo, hi, lo_u, hi_u, s2_direct, s2_dual, lowest, W = _grid_pass(
+        tdh, grid, (factor, scale.power_matrix(-0.5, shift=1.0)), k2_order, allow_fd
+    )
+    c_norm, c_unit = _s1_constant(lo, hi), _s1_constant(lo_u, hi_u)
     s2_bound = float(s2_direct.max())
 
-    W = _sandwiched_stack(tdh, grid, k2_order, t0=t_ref, allow_fd=allow_fd)
     counters = {}
-    moduli = check_K2(
-        tdh, grid, order=k2_order, t0=t_ref, allow_fd=allow_fd, stack=W, counters=counters
-    )
+    moduli = check_K2(tdh, grid, order=k2_order, allow_fd=allow_fd, stack=W, counters=counters)
     mid = 0.5 * (grid[0] + grid[-1])
     k_mid = int(np.searchsorted(grid, mid))
-    if grid[k_mid] == mid:
-        W_mid = W[k_mid]
-    else:
-        W_mid = _sandwiched_stack(tdh, np.array([mid]), k2_order, t0=t_ref, allow_fd=allow_fd)[0]
+    mid_is_node = bool(grid[k_mid] == mid)
+    W_mid = W[k_mid] if mid_is_node else _sandwich(
+        factor, _derivative_stack(tdh, np.array([mid]), k2_order, allow_fd=allow_fd))[0]
     ref_norms = [hermitian_spectral_norm(S) for S in (W[0], W_mid, W[-1])]
     k2_pass, k2_details = k2_verdict(moduli, max(ref_norms), slope_min=slope_min)
 
@@ -514,30 +546,21 @@ def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9, allow_fd=True) -
     }
 
     # Local modulus between grid neighbours, for per-time diagnostics.
-    k2_local = np.zeros(grid.size)
-    k2_local[1:] = hermitian_spectral_norm(W[1:] - W[:-1])
+    k2_local = np.concatenate([[0.0], hermitian_spectral_norm(W[1:] - W[:-1])])
 
-    lambda_min = np.empty(grid.size)
-    for block in blocks(grid.size, tdh.dim):
-        lambda_min[block] = np.linalg.eigvalsh(_derivative_stack(tdh, grid[block], 0))[:, 0]
+    N = grid.size
+    # H(t0); H, dH/dt and for order 2 d2H/dt2 at each grid time; the midpoint
+    # of the K2 reference norms when it is no grid time.
+    counters["h_slices"] = 1 + N * (3 if k2_order == 2 else 2) + (not mid_is_node)
+    # The reference scale's two; per grid time two pencils, eigh(A) and the
+    # two derivative-bound norms; the neighbour differences, the three
+    # reference norms and the K2 pairs solved exactly.
+    counters["eigensolved_mats"] = 2 + 5 * N + (N - 1) + 3 + counters["k2_exact_pairs"]
 
+    per_t = dict(lambda_min=lowest - (tdh.semibound.m + 1.0), pencil_min=lo, pencil_max=hi,
+                 s2_local=s2_direct, s2_local_alt=s2_dual, k2_local=k2_local)
     return AssumptionReport(
-        grid=grid,
-        t0=t_ref,
-        k2_order=k2_order,
-        s1_constant=c_norm,
-        s1_operator_constant=c_norm**2,
-        s1_constant_unit_shift=c_unit,
-        s2_bound=s2_bound,
-        k2_modulus=moduli,
-        verdicts=verdicts,
-        per_t={
-            "lambda_min": lambda_min,
-            "pencil_min": lo,
-            "pencil_max": hi,
-            "s2_local": s2_direct,
-            "s2_local_alt": s2_dual,
-            "k2_local": k2_local,
-        },
-        counters=counters,
+        grid=grid, t0=t_ref, k2_order=k2_order, s1_constant=c_norm,
+        s1_operator_constant=c_norm**2, s1_constant_unit_shift=c_unit, s2_bound=s2_bound,
+        k2_modulus=moduli, verdicts=verdicts, per_t=per_t, counters=counters,
     )

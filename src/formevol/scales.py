@@ -98,10 +98,10 @@ class HilbertScale:
         Q = self.eigenvectors
         return Q @ (self.eigenvalues ** float(p) * (Q.conj().T @ v))
 
-    def power_matrix(self, p):
-        """Dense matrix ``A^p``, e.g. ``p = -1/2`` for norm sandwiches."""
+    def power_matrix(self, p, shift=0.0):
+        """Dense matrix ``(A + shift I)^p``, e.g. ``p = -1/2`` for norm sandwiches."""
         Q = self.eigenvectors
-        M = (Q * self.eigenvalues ** float(p)) @ Q.conj().T
+        M = (Q * (self.eigenvalues + shift) ** float(p)) @ Q.conj().T
         return 0.5 * (M + M.conj().T)
 
     def __repr__(self):

@@ -5,7 +5,6 @@ from collections import Counter
 from itertools import combinations_with_replacement
 
 import numpy as np
-import scipy.linalg
 
 from formevol import (
     CircleDeltaModel,
@@ -221,11 +220,12 @@ def reference_derivative(tdh, t, order):
     return hermitize(D2, rtol=np.inf)
 
 
-def reference_pencil_extremes(tdh, grid, A_ref):
+def reference_pencil_extremes(tdh, grid, factor):
+    """Extremes of the pencils ``(A(t), A_ref)`` from ``factor = A_ref^{-1/2}``."""
     lo = np.empty(grid.size)
     hi = np.empty(grid.size)
     for j, t in enumerate(grid):
-        w = scipy.linalg.eigh(tdh.shifted(t), A_ref, eigvals_only=True)
+        w = np.linalg.eigvalsh(factor @ tdh.shifted(t) @ factor)
         lo[j], hi[j] = w[0], w[-1]
     return lo, hi
 
@@ -259,9 +259,9 @@ def reference_sandwiched_stack(tdh, grid, order, t0=None):
 def reference_audit_profiles(tdh, grid, order, t0=None):
     """Per-time audit profiles, one grid point at a time."""
     t_ref = tdh.t_span[0] if t0 is None else float(t0)
-    A0 = tdh.shifted(t_ref)
-    lo, hi = reference_pencil_extremes(tdh, grid, A0)
-    lo_u, hi_u = reference_pencil_extremes(tdh, grid, A0 + np.eye(tdh.dim))
+    scale = tdh.scale_at(t_ref)
+    lo, hi = reference_pencil_extremes(tdh, grid, scale.power_matrix(-0.5))
+    lo_u, hi_u = reference_pencil_extremes(tdh, grid, scale.power_matrix(-0.5, shift=1.0))
     direct, dual = reference_s2_profile(tdh, grid)
     W = reference_sandwiched_stack(tdh, grid, order, t_ref)
     k2_local = np.zeros(grid.size)
@@ -275,9 +275,23 @@ def reference_audit_profiles(tdh, grid, order, t0=None):
         "s2_local": direct,
         "s2_local_alt": dual,
         "W": W,
-        "lambda_min": np.array([float(np.linalg.eigvalsh(tdh(t))[0]) for t in grid]),
+        # The lowest eigenvalue of A(t) from the derivative bound's eigh, unshifted.
+        "lambda_min": np.array(
+            [np.linalg.eigh(tdh.shifted(t))[0][0] - (tdh.semibound.m + 1.0) for t in grid]
+        ),
         "k2_local": k2_local,
     }
+
+
+def reference_rayleigh_max_ratio(tdh, grid, t0, samples):
+    """The audit's Rayleigh cross-check in complex arithmetic whatever the
+    family's dtype: ``Re x* A x`` from one complex product per sampled time."""
+    denom = np.real(np.einsum("va,va->v", samples.conj() @ tdh.shifted(t0), samples))
+    worst = 0.0
+    for At in tdh.shifted(grid[:: max(1, grid.size // 32)]):
+        num = np.real(np.einsum("va,va->v", samples.conj() @ At, samples))
+        worst = max(worst, float(np.max(num / denom)), float(np.max(denom / num)))
+    return worst
 
 
 def reference_unitarity_defects(U):

@@ -112,8 +112,15 @@ grid_points = 33
         assert summary["s2_bound"] == 0.0
         assert all(v["pass"] for v in summary["verdicts"].values())
         run_record = json.loads((tmp_path / "run_record.json").read_text())
-        # a constant family: every pair difference is zero, so nothing is eigensolved
-        assert run_record["counters"] == {"k2_pairs": 33 * 32 // 2, "k2_exact_pairs": 0}
+        # a constant family: every pair difference is zero, so no pair is eigensolved;
+        # H(t0), then H and dH/dt at 33 times; 2 for the reference scale, 5 x 33
+        # per-time, 32 neighbour differences and 3 reference norms
+        assert run_record["counters"] == {
+            "k2_pairs": 33 * 32 // 2,
+            "k2_exact_pairs": 0,
+            "h_slices": 1 + 2 * 33,
+            "eigensolved_mats": 2 + 5 * 33 + 32 + 3,
+        }
         assert "counters" not in summary
         for name in record.outputs:
             assert (tmp_path / name).exists()
@@ -365,6 +372,23 @@ mode = 0
         assert main([command, "--config", str(CONFIGS / config), "--out", str(out)]) == 0
         record = json.loads((out / "run_record.json").read_text())
         assert record["counters"]["propagation_steps"] == steps
+
+    @pytest.mark.parametrize("refine, points", [(0, 257), (1, 513)])
+    def test_run_record_counts_the_audit_pass(self, tmp_path, refine, points):
+        out = tmp_path / "out"
+        args = ["audit", "--config", str(CONFIGS / "audit_circle.ini"), "--out", str(out)]
+        assert main(args + ["--grid-refine", str(refine)]) == 0
+        counters = json.loads((out / "run_record.json").read_text())["counters"]
+        # H(t0), then H and dH/dt once at each grid time (the midpoint is one).
+        assert counters["h_slices"] == 1 + 2 * points
+        # The reference scale's 2; two pencils, eigh(A) and two S2 norms a time;
+        # the neighbour differences, 3 reference norms and the K2 pairs solved.
+        solved = 2 + 5 * points + (points - 1) + 3 + counters["k2_exact_pairs"]
+        assert counters["eigensolved_mats"] == solved
+        if refine == 0:
+            assert counters == {
+                "h_slices": 515, "eigensolved_mats": 1770, "k2_pairs": 32896, "k2_exact_pairs": 224
+            }
 
     ARITHMETIC = """
 [model]

@@ -6,9 +6,11 @@ complex-valued per-time callables runs the complex Hermitian ones; the two
 must agree to roundoff, within 1e-12 of each quantity's largest entry.
 """
 
+import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,10 @@ from formevol import (
     propagate,
     yosida_convergence_study,
 )
+from formevol import runs
+from formevol.config import parse_config
+
+from helpers import reference_rayleigh_max_ratio
 
 RTOL = 1e-12
 
@@ -101,3 +107,57 @@ def test_real_path_matches_complex_path(seed, dim, terms):
                for tdh in (real, twin)]
     assert_agree(studies[0].err_h, studies[1].err_h)
     assert_agree(studies[0].err_plus, studies[1].err_plus)
+
+
+AUDIT = """
+[model]
+kind = {kind}
+dim = 5
+T = 1.0
+
+[audit]
+grid_points = 65
+rayleigh_samples = 2000
+seed = {seed}
+"""
+
+
+def audit_summary(tmp_path, cfg, tdh, monkeypatch):
+    """``audit_summary.json`` of ``run_audit`` on ``cfg`` with its model replaced by ``tdh``."""
+    monkeypatch.setattr(runs, "build_model", lambda _: tdh)
+    out = tmp_path / str(id(tdh))
+    runs.run_audit(cfg, str(out))
+    return json.loads((out / "audit_summary.json").read_text())
+
+
+def rayleigh_samples(cfg, dim):
+    rng = np.random.default_rng(cfg.audit.seed)
+    shape = (cfg.audit.rayleigh_samples, dim)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rayleigh_check_in_real_arithmetic_matches_complex(tmp_path, monkeypatch, seed):
+    cfg = parse_config(AUDIT.format(kind="constant", seed=seed))
+    real, twin = random_real_family(seed, 5, 2)
+    R, C = (audit_summary(tmp_path, cfg, tdh, monkeypatch) for tdh in (real, twin))
+    assert_agree(R["rayleigh_max_ratio"], C["rayleigh_max_ratio"])
+    assert R["rayleigh_within_bound"] == C["rayleigh_within_bound"]
+    # and the real product agrees with the complex one on the real family itself
+    grid = np.linspace(0.0, 1.0, 65)
+    expected = reference_rayleigh_max_ratio(real, grid, 0.0, rayleigh_samples(cfg, 5))
+    assert_agree(R["rayleigh_max_ratio"], expected)
+
+
+@pytest.mark.parametrize("kind", ["rotating_frame", "constant"])
+def test_complex_family_keeps_the_complex_rayleigh_product(tmp_path, monkeypatch, kind):
+    cfg = parse_config(AUDIT.format(kind=kind, seed=4))
+    tdh = runs.build_model(cfg)
+    assert tdh.stack([0.0]).dtype == np.complex128
+    summary = audit_summary(tmp_path, cfg, tdh, monkeypatch)
+    grid = np.linspace(0.0, 1.0, 65)
+    expected = reference_rayleigh_max_ratio(tdh, grid, 0.0, rayleigh_samples(cfg, tdh.dim))
+    assert summary["rayleigh_max_ratio"] == expected  # bit for bit
+    assert summary["rayleigh_within_bound"] == (
+        expected <= summary["s1_operator_constant"] * (1.0 + 1e-12)
+    )

@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +30,7 @@ from formevol import (
     synthetic_family,
     uniform_grid,
 )
-from formevol.regularity import _fd_derivative, _pencil_extremes, _sandwiched_stack
+from formevol.regularity import _fd_derivative, _sandwiched_stack
 
 from helpers import (
     block_size,
@@ -469,10 +471,7 @@ class TestBatchedGrid:
         keys = ("pencil_min", "pencil_max", "s2_local", "s2_local_alt", "lambda_min", "k2_local")
         for key in keys:
             assert np.array_equal(report.per_t[key], ref[key]), key
-        A_unit = tdh.shifted(report.t0) + np.eye(tdh.dim)
-        lo_u, hi_u = _pencil_extremes(tdh, grid, A_unit)
-        assert np.array_equal(lo_u, ref["unit_shift_min"])
-        assert np.array_equal(hi_u, ref["unit_shift_max"])
+        lo_u, hi_u = ref["unit_shift_min"], ref["unit_shift_max"]
         assert report.s1_constant_unit_shift == float(np.sqrt(max(hi_u.max(), 1.0 / lo_u.min())))
         assert np.array_equal(_sandwiched_stack(tdh, grid, order, t0=report.t0), ref["W"])
 
@@ -488,6 +487,95 @@ class TestBatchedGrid:
         finally:
             tracemalloc.stop()
         assert peak < 11 * 2**20
+
+
+class TestOnePass:
+    """``bridge_check`` walks the grid once: one stack per block and derivative
+    order, every quantity from what its block holds."""
+
+    @staticmethod
+    def count_stacks(tdh):
+        """Record ``(times, order)`` of each ``tdh.stack`` call into the returned list."""
+        calls = []
+        stack = tdh.stack
+
+        def counted(times, order=0):
+            calls.append((np.array(times, dtype=float, ndmin=1), order))
+            return stack(times, order)
+
+        tdh.stack = counted
+        return calls
+
+    @pytest.mark.parametrize("points", [81, 80])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_each_grid_time_is_stacked_once_per_order(self, order, points, blocks_of_32):
+        tdh = circle_delta_model(3, alpha_profile("trigonometric", amplitude=1.3, phase=0.2), TWO_PI)
+        blocks_of_32(tdh.dim)
+        grid = uniform_grid(0.0, TWO_PI, points)  # three blocks
+        calls = self.count_stacks(tdh)
+        report = bridge_check(tdh, grid, t0=1.0, k2_order=order)
+
+        evaluated = Counter((float(t), o) for times, o in calls for t in times)
+        used = {0, 1, order}
+        expected = Counter({(float(t), o): 1 for t in grid for o in used})
+        expected[(1.0, 0)] += 1  # the reference time
+        stacks = 1 + 3 * len(used)
+        mid = 0.5 * TWO_PI
+        if points % 2 == 0:  # the midpoint of the K2 reference norms is no grid time
+            expected[(mid, order)] += 1
+            stacks += 1
+        assert evaluated == expected
+        assert len(calls) == stacks
+        assert report.counters["h_slices"] == sum(expected.values())
+
+    @pytest.mark.parametrize("points", [81, 80])
+    @pytest.mark.parametrize("family", ["circle_sin", "kink", "rotating_frame"])
+    def test_counts_the_matrices_eigensolved(self, family, points, monkeypatch):
+        build, order, t0 = BATCHED_FAMILIES[family]
+        tdh = build()
+        grid = uniform_grid(*tdh.t_span, points)
+        solved = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(M, *args, solver=getattr(np.linalg, name), **kwargs):
+                solved.append(math.prod(np.shape(M)[:-2]))
+                return solver(M, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        report = bridge_check(tdh, grid, t0=t0, k2_order=order)
+        assert report.counters["eigensolved_mats"] == sum(solved)
+
+    @pytest.mark.parametrize("family", sorted(BATCHED_FAMILIES))
+    def test_pencils_and_lambda_min_match_independent_references(self, family):
+        # Generalized eigensolves against A(t0) and A(t0) + I, and eigvalsh of H.
+        build, order, t0 = BATCHED_FAMILIES[family]
+        tdh = build()
+        grid = uniform_grid(*tdh.t_span, 45)
+        report = bridge_check(tdh, grid, t0=t0, k2_order=order)
+        A_ref = tdh.shifted(report.t0)
+        A = tdh.shifted(grid)
+        for key, reference in (("pencil", A_ref), ("unit_shift", A_ref + np.eye(tdh.dim))):
+            w = np.stack([scipy.linalg.eigh(M, reference, eigvals_only=True) for M in A])
+            lo, hi = w[:, 0], w[:, -1]
+            if key == "pencil":
+                for name, column in (("pencil_min", lo), ("pencil_max", hi)):
+                    error = np.max(np.abs(report.per_t[name] - column))
+                    assert error <= 1e-12 * np.max(np.abs(column)), name
+                constant = report.s1_constant
+            else:
+                constant = report.s1_constant_unit_shift
+            expected = math.sqrt(max(hi.max(), 1.0 / lo.min()))
+            assert abs(constant - expected) <= 1e-12 * expected, key
+        lowest = np.linalg.eigvalsh(tdh.stack(grid))[:, 0]
+        bound = 32 * np.finfo(float).eps * max(np.linalg.norm(M, 2) for M in A)
+        assert np.max(np.abs(report.per_t["lambda_min"] - lowest)) <= bound
+
+    @pytest.mark.parametrize("t0", [-3.0, 50.0, math.nan])
+    @pytest.mark.parametrize("audit", [s1_pencil_profile, check_S1, check_K2, bridge_check])
+    def test_reference_time_must_lie_in_the_span(self, audit, t0):
+        tdh = circle_delta_model(4, alpha_profile("trigonometric", amplitude=1.0), TWO_PI)
+        message = rf"t0 = {t0} lies outside the span \[0.0, {TWO_PI}\]"
+        with pytest.raises(GridError, match=message):
+            audit(tdh, uniform_grid(0, TWO_PI, 33), t0=t0)
 
 
 def failing_semibound_family():
