@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from functools import partialmethod
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ArgumentError
 from .forms import Semibound, blocks, hermitize
@@ -440,9 +439,7 @@ class SyntheticModel:
 
     def exact_propagator(self, s, t) -> np.ndarray:
         if self.kind == "constant":
-            H0 = self.params["matrix"]
-            w, Q = np.linalg.eigh(H0)
-            return (Q * np.exp(-1j * w * (t - s))) @ Q.conj().T
+            return _hermitian_group(self.params["matrix"])(t - s)
         if self.kind == "commuting_diagonal":
             offsets = np.asarray(self.params["offsets"], dtype=float)
             rates = np.asarray(self.params["rates"], dtype=float)
@@ -452,13 +449,19 @@ class SyntheticModel:
             H0 = self.params["matrix"]
             Om = self.params["omega"]
             # In the co-rotating frame the generator is constant, giving
-            # U(t, s) = e^{Om t} e^{-(Om + i H0)(t - s)} e^{-Om s}.
-            return (
-                sla.expm(Om * t)
-                @ sla.expm(-(Om + 1j * H0) * (t - s))
-                @ sla.expm(-Om * s)
-            )
+            # U(t, s) = e^{Om t} e^{-(Om + i H0)(t - s)} e^{-Om s}, where
+            # e^{Om t} = e^{-i (i Om) t} and Om + i H0 = i (H0 - i Om): both
+            # groups come from Hermitian generators.
+            R = _hermitian_group(1j * Om)
+            return R(t) @ _hermitian_group(H0 - 1j * Om)(t - s) @ R(-s)
         raise ArgumentError(f"unknown synthetic kind {self.kind!r}")
+
+
+def _hermitian_group(G):
+    """``t -> exp(-i G t)`` for a Hermitian ``G``, from one eigendecomposition."""
+    w, V = np.linalg.eigh(G)
+    Vh = V.conj().T
+    return lambda t: (V * np.exp(-1j * w * t)) @ Vh
 
 
 def _random_hermitian(n, rng, scale=1.0):
@@ -524,9 +527,10 @@ def synthetic_family(kind, n, T, params=None) -> TimeDependentHamiltonian:
             Om = 1j * _random_hermitian(n, rng, scale=0.5)
         params["matrix"], params["omega"] = H0, Om
         model = SyntheticModel("rotating_frame", params)
+        rotation = _hermitian_group(1j * Om)
 
         def Hfun(t):
-            R = sla.expm(Om * t)
+            R = rotation(t)
             return R @ H0 @ R.conj().T
 
         def Hdot(t):

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ArgumentError, NotPositiveDefiniteError, SemiboundError
 from .forms import Semibound, hermitize
@@ -160,9 +159,12 @@ class EquivalenceConstant:
 
 
 def _pencil_constant(A2, A1) -> EquivalenceConstant:
-    # Generalized problem A2 x = lambda A1 x, reduced internally through the
-    # Cholesky factor of A1.
-    w, V = scipy.linalg.eigh(A2, A1)
+    # Generalized problem A2 x = lambda A1 x, reduced through the Cholesky
+    # factor A1 = L L*: the standard problem of L^{-1} A2 L^{-*} has the same
+    # eigenvalues, and x = L^{-*} u gives eigenvectors with V* A1 V = I.
+    Linv = np.linalg.inv(np.linalg.cholesky(A1))
+    w, U = np.linalg.eigh(Linv @ A2 @ Linv.conj().T)
+    V = Linv.conj().T @ U
     if w[0] <= 0.0:
         raise NotPositiveDefiniteError(w[0], context="pencil")
     c = max(float(np.sqrt(w[-1])), float(1.0 / np.sqrt(w[0])))

@@ -5,6 +5,7 @@ from collections import Counter
 from itertools import combinations_with_replacement
 
 import numpy as np
+import scipy.linalg
 
 from formevol import (
     CircleDeltaModel,
@@ -126,6 +127,28 @@ def reference_callables(tdh):
             lambda t: np.zeros((n, n)),
         )
     raise ValueError(f"no reference callables for {tdh!r}")
+
+
+# ---------------------------------------------------------------------------
+# The scipy forms of the rotating frame.  The library builds its unitary
+# groups from one Hermitian eigendecomposition each; these are the
+# matrix-exponential forms it replaced, equal up to roundoff.
+# ---------------------------------------------------------------------------
+
+
+def reference_rotating_frame(tdh, t):
+    """``(H(t), dH/dt)`` of a ``rotating_frame`` family from ``R(t) = expm(Om t)``."""
+    H0, Om = (tdh.source.params[key] for key in ("matrix", "omega"))
+    R = scipy.linalg.expm(Om * t)
+    H = R @ H0 @ R.conj().T
+    return H, Om @ H - H @ Om
+
+
+def reference_rotating_propagator(tdh, s, t):
+    """``U(t, s) = e^{Om t} e^{-(Om + i H0)(t - s)} e^{-Om s}`` as three ``expm``."""
+    H0, Om = (tdh.source.params[key] for key in ("matrix", "omega"))
+    expm = scipy.linalg.expm
+    return expm(Om * t) @ expm(-(Om + 1j * H0) * (t - s)) @ expm(-Om * s)
 
 
 def generic_twin(tdh):

@@ -145,6 +145,17 @@ grid_points = 129
         assert summary["verdicts"]["S2"]["pass"]
         assert not summary["verdicts"]["K2"]["pass"]
 
+    def test_summary_flags_are_json_booleans(self, tmp_path):
+        # bool is a subclass of int: through the integer branch they read back as 1 and 0.
+        assert json.dumps(runs._jsonable([True, np.bool_(False), 1, np.int64(0)])) \
+            == "[true, false, 1, 0]"
+        text = MINIMAL + "\n[audit]\ngrid_points = 33\nrayleigh_samples = 50\n"
+        run_audit(parse_config(text), str(tmp_path))
+        summary = json.loads((tmp_path / "audit_summary.json").read_text())
+        assert summary["rayleigh_within_bound"] is True
+        flags = [v["pass"] for v in summary["verdicts"].values()]
+        assert flags and all(type(flag) is bool for flag in flags), flags
+
     def test_propagation_free_mode_phase_and_norm(self, tmp_path):
         text = """
 [model]

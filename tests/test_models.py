@@ -23,7 +23,13 @@ from formevol import (
 
 from formevol.regularity import _derivative_stack, differentiate_form
 
-from helpers import generic_twin, reference_callables, reference_profile
+from helpers import (
+    generic_twin,
+    reference_callables,
+    reference_profile,
+    reference_rotating_frame,
+    reference_rotating_propagator,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -217,6 +223,45 @@ class TestSyntheticFamilies:
     def test_needs_two_dimensions(self):
         with pytest.raises(ArgumentError):
             synthetic_family("constant", 1, 1.0)
+
+
+class TestRotatingFrameEigh:
+    """The rotating frame's groups come from Hermitian eigendecompositions, not
+    ``expm``; they match the ``expm`` forms of ``helpers`` to roundoff.
+    Measured on these families: ``H`` within 4.8e-15 of ``max|H|``, ``dH/dt``
+    within 1.7e-14 of ``max|Om| max|H|``, ``U`` within 2.9e-14 (at
+    ``|Om t| = 80``); the tests allow 1e-13."""
+
+    FAMILIES = [
+        (3, {"seed": 8}),
+        (8, {"seed": 1}),
+        (33, {"seed": 0}),
+        # Degenerate rotation frequencies and a large |Om t|.
+        (3, {"seed": 2, "omega": 1j * np.diag([1.0, 1.0, -2.0])}),
+        (5, {"seed": 3, "omega": 1j * np.diag([40.0, 0.0, 0.0, -40.0, 40.0])}),
+    ]
+
+    @pytest.mark.parametrize("n, params", FAMILIES)
+    def test_stacks_match_expm(self, n, params):
+        tdh = synthetic_family("rotating_frame", n, 2.0, params)
+        times = np.linspace(0.0, 2.0, 23)
+        H, Hdot = tdh.stack(times), tdh.stack(times, 1)
+        omega = np.max(np.abs(tdh.source.params["omega"]))
+        for j, t in enumerate(times):
+            H_ref, Hdot_ref = reference_rotating_frame(tdh, t)
+            scale = np.max(np.abs(H_ref))
+            assert np.max(np.abs(H[j] - H_ref)) <= 1e-13 * scale, t
+            # dH/dt = [Om, H]: its roundoff scales with |Om| |H|.
+            assert np.max(np.abs(Hdot[j] - Hdot_ref)) <= 1e-13 * omega * scale, t
+
+    @pytest.mark.parametrize("n, params", FAMILIES)
+    def test_exact_propagator_matches_three_expm(self, n, params):
+        tdh = synthetic_family("rotating_frame", n, 2.0, params)
+        for s, t in [(0.0, 1.0), (0.3, 1.7), (1.9, 0.2), (0.5, 0.5)]:
+            U = tdh.source.exact_propagator(s, t)
+            # Unitary: entries at most 1, so the bound is absolute.
+            assert np.max(np.abs(U - reference_rotating_propagator(tdh, s, t))) <= 1e-13
+            assert np.max(np.abs(U.conj().T @ U - np.eye(n))) <= 1e-13
 
 
 #: One profile of every kind.  Together with ``PROFILE_TIMES`` they reach each

