@@ -23,10 +23,11 @@ entries and in steps: each block's nodes are stacked by
 :meth:`TimeDependentHamiltonian.stack`, one node index for every step of the
 block at once, and exponentiated by batched eigensolves or, for Dyson,
 combined by a recursion over the nodes.  Only applying the steps is
-sequential.  A table ``U[j+1] = E_j U[j]`` is built only where a caller
-needs one (trajectories, the axioms, the unitarity defect); the convergence
-sweeps read final states only, so :func:`final_state` applies each step to
-the vector and holds no table.  Tables are immutable once built.
+sequential.  One walker composes ``U[j+1] = E_j U[j]`` a block at a time
+and checks each row's unitarity: :func:`build_table` keeps the rows, and
+:func:`propagate` only the states ``U_j psi0`` and the largest defect.  The
+convergence sweeps apply each step to a vector (:func:`final_state`).
+Tables are immutable once built.
 """
 
 from __future__ import annotations
@@ -133,21 +134,42 @@ class PropagatorTable:
         return float(np.max(self.diagnostics["unitarity_defect"]))
 
 
-def _finish_table(s, times, U, method, params):
-    defects = np.empty(U.shape[0])
-    eye = np.eye(U.shape[-1])
-    for block in blocks(U.shape[0], U.shape[-1]):
-        # A diverged expansion overflows here; it is reported below, not warned.
-        with np.errstate(over="ignore", invalid="ignore"):
-            G = U[block].conj().swapaxes(-1, -2) @ U[block] - eye
-            G = 0.5 * (G + G.conj().swapaxes(-1, -2))
-        bad = np.flatnonzero(~np.isfinite(G).all(axis=(-2, -1)))
-        if bad.size:
-            raise NumericalError(
-                f"{method} table: the unitarity defect is not finite at t = "
-                f"{times[block][bad[0]]}; the truncated expansion diverged, raise substeps"
-            )
-        defects[block] = hermitian_spectral_norm(G)
+def _defects(U, times, method):
+    """Unitarity defects ``|U* U - I|`` of a stack of rows at ``times``."""
+    # A diverged expansion overflows here; it is reported below, not warned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = U.conj().swapaxes(-1, -2) @ U - np.eye(U.shape[-1])
+        G = 0.5 * (G + G.conj().swapaxes(-1, -2))
+    bad = np.flatnonzero(~np.isfinite(G).all(axis=(-2, -1)))
+    if bad.size:
+        raise NumericalError(
+            f"{method} table: the unitarity defect is not finite at t = "
+            f"{times[bad[0]]}; the truncated expansion diverged, raise substeps"
+        )
+    return hermitian_spectral_norm(G)
+
+
+def _walk(times, steps, dim, method):
+    """Yield ``(rows, U, defects)`` of the table ``U[j+1] = E_j U[j]``, ``U[0] = I``,
+    one block at a time: row 0, then the rows after each ``(block, E)`` of ``steps``.
+    Only the current block's rows are held."""
+    U = np.eye(dim, dtype=complex)[None]
+    yield slice(0, 1), U, _defects(U, times[:1], method)
+    for block, E in steps:
+        last, U = U[-1], np.empty(E.shape, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # caught by _defects
+            for i, E_j in enumerate(E):
+                last = U[i] = E_j @ last
+        rows = slice(block.start + 1, block.stop + 1)
+        yield rows, U, _defects(U, times[rows], method)
+
+
+def _table(tdh, s, times, steps, method, params) -> PropagatorTable:
+    """The :class:`PropagatorTable` of the ``(block, E)`` ``steps`` on ``times``."""
+    U = np.empty((times.size, tdh.dim, tdh.dim), dtype=complex)
+    defects = np.empty(times.size)
+    for rows, U_rows, defects_rows in _walk(times, steps, tdh.dim, method):
+        U[rows], defects[rows] = U_rows, defects_rows
     return PropagatorTable(float(s), times, U, method, params, {"unitarity_defect": defects})
 
 
@@ -157,17 +179,6 @@ def _grid(s, t, substeps):
     if substeps < 1:
         raise ArgumentError(f"substeps must be >= 1, got {substeps}")
     return np.linspace(float(s), float(t), substeps + 1)
-
-
-def _compose(times, steps, dim):
-    """The table ``U[j+1] = E_j U[j]``, ``U[0] = I``, of the ``(block, E)`` ``steps``."""
-    U = np.empty((times.size, dim, dim), dtype=complex)
-    U[0] = np.eye(dim)
-    for block, E in steps:
-        with np.errstate(over="ignore", invalid="ignore"):  # caught by _finish_table
-            for j, E_j in enumerate(E, start=block.start):
-                U[j + 1] = E_j @ U[j]
-    return U
 
 
 def _reference_steps(tdh, s, t, substeps, scheme):
@@ -202,9 +213,8 @@ def reference_propagator(tdh, s, t, substeps, scheme="magnus2") -> PropagatorTab
     to eigensolver roundoff, making unitarity a hard invariant of the table
     rather than a convergence artifact.  ``t < s`` integrates backwards.
     """
-    times, steps = _reference_steps(tdh, s, t, substeps, scheme)
-    U = _compose(times, steps, tdh.dim)
-    return _finish_table(s, times, U, scheme, {"substeps": int(substeps)})
+    return _table(tdh, s, *_reference_steps(tdh, s, t, substeps, scheme), scheme,
+                  {"substeps": int(substeps)})
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +304,7 @@ def dyson_propagator(tdh, s, t, order, substeps, yosida_n=None) -> PropagatorTab
     regularization.  Steps are not renormalized: the unitarity defect decays
     at the scheme order and is reported in the diagnostics.
     """
-    times, steps = _dyson_steps(tdh, s, t, order, substeps, yosida_n)
-    U = _compose(times, steps, tdh.dim)
-    params = {"order": int(order), "substeps": int(substeps), "yosida_n": yosida_n}
-    return _finish_table(s, times, U, "dyson", params)
+    return build_table(tdh, s, t, "dyson", substeps, order, yosida_n)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +314,13 @@ def dyson_propagator(tdh, s, t, order, substeps, yosida_n=None) -> PropagatorTab
 
 @dataclass
 class Trajectory:
-    """States ``psi_j = U(times[j], s) psi0`` along a propagator table."""
+    """States ``psi_j = U(times[j], s) psi0`` of a propagation by ``method``, with
+    the largest unitarity defect ``|U* U - I|`` of its propagators."""
 
     times: np.ndarray
     states: np.ndarray
-    table: PropagatorTable
+    method: str
+    unitarity_defect: float
 
     @property
     def final(self) -> np.ndarray:
@@ -325,32 +334,43 @@ class Trajectory:
         return float(np.max(np.abs(norms - norms[0])))
 
 
+def _steps(tdh, s, t, method, substeps, order, yosida_n, inner_scheme):
+    """``(times, steps, label, params)`` of a propagation by method name: the grid,
+    the generator of ``(block, E)`` steps, and the table's method and parameters."""
+    if method in ("magnus2", "magnus4"):
+        return (*_reference_steps(tdh, s, t, substeps, method), method,
+                {"substeps": int(substeps)})
+    if method == "dyson":
+        return (*_dyson_steps(tdh, s, t, order, substeps, yosida_n), "dyson",
+                {"order": int(order), "substeps": int(substeps), "yosida_n": yosida_n})
+    if method == "yosida":
+        if yosida_n is None:
+            raise ArgumentError("method 'yosida' requires yosida_n")
+        family = yosida_hamiltonian(tdh, yosida_n)
+        return (*_reference_steps(family, s, t, substeps, inner_scheme), "yosida",
+                {"n": int(yosida_n), "inner_method": inner_scheme, "substeps": int(substeps)})
+    raise ArgumentError(f"unknown propagation method {method!r}")
+
+
+def _state(psi0, dim):
+    """``psi0`` as a complex vector of dimension ``dim``; refuses any other shape and zero."""
+    psi = np.array(psi0, dtype=complex)
+    if psi.shape != (dim,):
+        raise ArgumentError(f"initial state has shape {psi.shape}, expected ({dim},)")
+    if np.linalg.norm(psi) == 0.0:
+        raise ArgumentError("initial state must be nonzero")
+    return psi
+
+
 def build_table(tdh, s, t, method="magnus2", substeps=256, order=2,
                 yosida_n=None, inner_scheme="magnus2") -> PropagatorTable:
-    """Dispatch to a propagator construction by method name.
+    """The propagator table of a construction chosen by method name.
 
     ``magnus2``/``magnus4`` build reference tables, ``dyson`` the truncated
     expansion, and ``yosida`` propagates the regularized family ``H_n`` with
     the chosen inner reference scheme.
     """
-    if method in ("magnus2", "magnus4"):
-        return reference_propagator(tdh, s, t, substeps, scheme=method)
-    if method == "dyson":
-        return dyson_propagator(tdh, s, t, order, substeps, yosida_n=yosida_n)
-    if method == "yosida":
-        if yosida_n is None:
-            raise ArgumentError("method 'yosida' requires yosida_n")
-        table = reference_propagator(
-            yosida_hamiltonian(tdh, yosida_n), s, t, substeps, scheme=inner_scheme
-        )
-        table.method = "yosida"
-        table.params = {
-            "n": int(yosida_n),
-            "inner_method": inner_scheme,
-            "substeps": int(substeps),
-        }
-        return table
-    raise ArgumentError(f"unknown propagation method {method!r}")
+    return _table(tdh, s, *_steps(tdh, s, t, method, substeps, order, yosida_n, inner_scheme))
 
 
 def final_state(tdh, psi0, s, t, method="magnus2", substeps=256, order=2,
@@ -363,21 +383,9 @@ def final_state(tdh, psi0, s, t, method="magnus2", substeps=256, order=2,
     norm overflows after a block, as ``U* U`` in the table's unitarity check
     would, raises :class:`NumericalError` naming the block's end time.
     """
-    if method in ("magnus2", "magnus4"):
-        times, steps = _reference_steps(tdh, s, t, substeps, method)
-    elif method == "dyson":
-        times, steps = _dyson_steps(tdh, s, t, order, substeps, yosida_n)
-    elif method == "yosida":
-        if yosida_n is None:
-            raise ArgumentError("method 'yosida' requires yosida_n")
-        times, steps = _reference_steps(
-            yosida_hamiltonian(tdh, yosida_n), s, t, substeps, inner_scheme
-        )
-    else:
-        raise ArgumentError(f"unknown propagation method {method!r}")
-    psi = np.array(psi0, dtype=complex)
-    if np.linalg.norm(psi) == 0.0:
-        raise ArgumentError("initial state must be nonzero")
+    psi = _state(psi0, tdh.dim)
+    times, steps, _, _ = _steps(tdh, s, t, method, substeps, order, yosida_n, inner_scheme)
+    # Not through _walk: its per-block bookkeeping cost a few percent of a sweep.
     for block, E in steps:
         # A diverged expansion overflows here; it is reported below, not warned.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -398,31 +406,29 @@ def propagate(tdh, psi0, s=None, t=None, method=None, substeps=256,
     """Propagate ``psi0`` from ``s`` to ``t``; returns the full trajectory.
 
     Either supply a prebuilt ``table`` (then ``method``, if given, must agree
-    with the table's method) or the parameters to build one (``method``
-    defaults to ``magnus2``).  For unitary methods the state norm is
-    conserved to roundoff.
+    with the table's method) or the parameters of a propagation (``method``
+    defaults to ``magnus2``), whose steps are then streamed: no table is
+    held.  For unitary methods the state norm is conserved to roundoff.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    if np.linalg.norm(psi0) == 0.0:
-        raise ArgumentError("initial state must be nonzero")
     if table is not None:
-        if psi0.shape != (table.dim,):
-            raise ArgumentError(
-                f"state has shape {psi0.shape}, table dimension is {table.dim}"
-            )
+        psi0 = _state(psi0, table.dim)
         if method is not None and method != table.method:
             raise ArgumentError(
                 f"method {method!r} does not match table method {table.method!r}"
             )
-    else:
-        if s is None or t is None:
-            raise ArgumentError("s and t are required when no table is given")
-        table = build_table(
-            tdh, s, t, method=method or "magnus2", substeps=substeps,
-            order=order, yosida_n=yosida_n, inner_scheme=inner_scheme,
-        )
-    states = np.einsum("jab,b->ja", table.matrices, psi0)
-    return Trajectory(times=table.times, states=states, table=table)
+        states = np.einsum("jab,b->ja", table.matrices, psi0)
+        return Trajectory(table.times, states, table.method, table.max_unitarity_defect())
+    psi0 = _state(psi0, tdh.dim)
+    if s is None or t is None:
+        raise ArgumentError("s and t are required when no table is given")
+    times, steps, label, _ = _steps(tdh, s, t, method or "magnus2", substeps, order,
+                                    yosida_n, inner_scheme)
+    states = np.empty((times.size, tdh.dim), dtype=complex)
+    defect = 0.0
+    for rows, U, defects in _walk(times, steps, tdh.dim, label):
+        states[rows] = np.einsum("jab,b->ja", U, psi0)
+        defect = max(defect, float(defects.max()))
+    return Trajectory(times, states, label, defect)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import json
 import os
 import tempfile
 import time as _time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .config import ExperimentConfig, config_hash, serialize_config
 from .errors import ConfigError
 from .models import alpha_profile, circle_delta_model, spectrum, synthetic_family
 from .propagators import (
-    Trajectory,
     YosidaStudy,
     final_state,
     propagate,
@@ -318,7 +317,7 @@ def run_propagation(cfg: ExperimentConfig, outdir, grid_refine=0):
 
     scale0 = tdh.scale_at(tdh.t_span[0])
     test = np.eye(tdh.dim, dtype=complex)[selected]
-    sub_traj = Trajectory(times=times, states=states, table=traj.table)
+    sub_traj = replace(traj, times=times, states=states)
     report = weak_residual(tdh, sub_traj, test, scale=scale0)
 
     header = ["t"]
@@ -343,8 +342,8 @@ def run_propagation(cfg: ExperimentConfig, outdir, grid_refine=0):
     outputs.append("trajectory.csv")
 
     summary = report.to_dict()
-    summary["unitarity_defect"] = traj.table.max_unitarity_defect()
-    summary["method"] = traj.table.method
+    summary["unitarity_defect"] = traj.unitarity_defect
+    summary["method"] = traj.method
     write_json(os.path.join(outdir, "residuals.json"), _jsonable(summary))
     outputs.append("residuals.json")
 

@@ -369,6 +369,42 @@ class TestPropagate:
         with pytest.raises(ArgumentError):
             propagate(tdh, np.array([1.0, 0.0]), table=table, method="dyson")
 
+    @staticmethod
+    def _counted_family(dim):
+        """A constant family of dimension ``dim`` and the list of times it was evaluated at."""
+        calls = []
+        tdh = TimeDependentHamiltonian(
+            dim, lambda t: calls.append(t) or np.eye(dim), (0.0, 1.0), Semibound(0.0),
+        )
+        return tdh, calls
+
+    @pytest.mark.parametrize("run", [propagate, final_state], ids=["propagate", "final_state"])
+    def test_rejects_a_state_of_another_dimension(self, run):
+        tdh, calls = self._counted_family(3)
+        with pytest.raises(ArgumentError, match=r"shape \(5,\), expected \(3,\)"):
+            run(tdh, np.ones(5), 0.0, 1.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("run", [propagate, final_state], ids=["propagate", "final_state"])
+    def test_rejects_a_column_state(self, run):
+        tdh, calls = self._counted_family(3)
+        with pytest.raises(ArgumentError, match=r"shape \(3, 1\), expected \(3,\)"):
+            run(tdh, np.ones((3, 1)), 0.0, 1.0)
+        assert calls == []
+
+    def test_holds_no_table(self):
+        # K = 16 with 2,048 magnus2 steps: the (2049, 33, 33) table alone would
+        # take 35.7 MB; the trajectory's (2049, 33) states take 1.1 MB.
+        tdh = circle_delta_model(16, alpha_profile("trigonometric", amplitude=1.0), TWO_PI)
+        psi0 = np.eye(tdh.dim, dtype=complex)[16]
+        tracemalloc.start()
+        try:
+            propagate(tdh, psi0, 0.0, TWO_PI, substeps=2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
 
 class TestWeakResidual:
     @staticmethod
@@ -378,7 +414,7 @@ class TestWeakResidual:
         states = np.stack([unitary_exp(H, t) @ psi0 for t in times])
         from formevol import Trajectory
 
-        return Trajectory(times=times, states=states, table=table)
+        return Trajectory(times, states, table.method, table.max_unitarity_defect())
 
     def test_constant_diagonal_residual_is_finite_difference_error(self):
         H = np.diag([0.0, 1.0, 4.0]).astype(complex)
@@ -560,6 +596,14 @@ def assert_table_matches(table, reference):
     assert np.array_equal(table.diagnostics["unitarity_defect"], defects)
 
 
+def assert_trajectory_matches(traj, reference, psi0):
+    """The streamed trajectory of ``psi0`` is the reference table applied to it, bit for bit."""
+    times, U, defects = reference
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, np.einsum("jab,b->ja", U, psi0))
+    assert traj.unitarity_defect == defects.max()
+
+
 class TestBatchedSteps:
     """Blocked, stacked step evaluation against the per-step loops, bit for bit."""
 
@@ -569,9 +613,13 @@ class TestBatchedSteps:
         tdh = FAMILIES[family]()
         blocks_of_32(tdh.dim)
         t1 = tdh.t_span[1]
+        psi0 = random_unit_vector(np.random.default_rng(5), tdh.dim)
         for substeps in edge_substeps(tdh):
             table = reference_propagator(tdh, 0.0, t1, substeps, scheme=scheme)
-            assert_table_matches(table, reference_table(tdh, 0.0, t1, substeps, scheme))
+            reference = reference_table(tdh, 0.0, t1, substeps, scheme)
+            assert_table_matches(table, reference)
+            traj = propagate(tdh, psi0, 0.0, t1, method=scheme, substeps=substeps)
+            assert_trajectory_matches(traj, reference, psi0)
 
     @pytest.mark.parametrize("n", [4, 64])
     @pytest.mark.parametrize("family", ["sin", "kink", "rotating_frame"])
@@ -580,11 +628,16 @@ class TestBatchedSteps:
         blocks_of_32(tdh.dim)
         t1 = tdh.t_span[1]
         per_time = reference_yosida_family(tdh, n)
+        psi0 = random_unit_vector(np.random.default_rng(5), tdh.dim)
         for scheme in ("magnus2", "magnus4"):
             for substeps in edge_substeps(tdh):
-                table = build_table(tdh, 0.0, t1, method="yosida", substeps=substeps,
-                                    yosida_n=n, inner_scheme=scheme)
-                assert_table_matches(table, reference_table(per_time, 0.0, t1, substeps, scheme))
+                options = {"method": "yosida", "substeps": substeps, "yosida_n": n,
+                           "inner_scheme": scheme}
+                table = build_table(tdh, 0.0, t1, **options)
+                reference = reference_table(per_time, 0.0, t1, substeps, scheme)
+                assert_table_matches(table, reference)
+                assert_trajectory_matches(propagate(tdh, psi0, 0.0, t1, **options),
+                                          reference, psi0)
 
     @pytest.mark.parametrize("yosida_n", [None, 8])
     @pytest.mark.parametrize("family", ["sin", "table", "rotating_frame"])
@@ -592,11 +645,15 @@ class TestBatchedSteps:
         tdh = FAMILIES[family]()
         blocks_of_32(tdh.dim)
         t1 = tdh.t_span[1]
+        psi0 = random_unit_vector(np.random.default_rng(5), tdh.dim)
         for order in (2, 4):
             for substeps in edge_substeps(tdh):
                 table = dyson_propagator(tdh, 0.0, t1, order, substeps, yosida_n=yosida_n)
                 reference = reference_dyson_table(tdh, 0.0, t1, order, substeps, yosida_n)
                 assert_table_matches(table, reference)
+                traj = propagate(tdh, psi0, 0.0, t1, method="dyson", order=order,
+                                 substeps=substeps, yosida_n=yosida_n)
+                assert_trajectory_matches(traj, reference, psi0)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_weak_residual(self, family, blocks_of_32):
