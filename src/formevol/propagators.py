@@ -25,7 +25,8 @@ block at once, and exponentiated by batched eigensolves or, for Dyson,
 combined by a recursion over the nodes.  Only applying the steps is
 sequential.  One walker composes ``U[j+1] = E_j U[j]`` a block at a time
 and checks each row's unitarity: :func:`build_table` keeps the rows, and
-:func:`propagate` only the states ``U_j psi0`` and the largest defect.  The
+:func:`propagate` only the states ``U_j psi0`` and the largest defect (a
+Dyson one keeps its table, small wherever the expansion converges).  The
 convergence sweeps apply each step to a vector (:func:`final_state`).
 Tables are immutable once built.
 """
@@ -230,10 +231,7 @@ def _node_count(dt, order, p):
     ``O(dt^{p+1} / M^2)`` contribution from cells straddling the ordering
     boundary; both must stay below the ``O(dt^{order+1})`` truncation error.
     """
-    if p == 1:
-        exponent = (order - 2) / 2.0
-    else:
-        exponent = (order - p) / 2.0
+    exponent = (order - max(p, 2)) / 2.0
     if exponent <= 0 or dt >= 1.0:
         return 1
     return min(128, max(1, math.ceil(dt ** (-exponent))))
@@ -304,7 +302,7 @@ def dyson_propagator(tdh, s, t, order, substeps, yosida_n=None) -> PropagatorTab
     regularization.  Steps are not renormalized: the unitarity defect decays
     at the scheme order and is reported in the diagnostics.
     """
-    return build_table(tdh, s, t, "dyson", substeps, order, yosida_n)
+    return _table(tdh, s, *_steps(tdh, s, t, "dyson", substeps, order, yosida_n, None))
 
 
 # ---------------------------------------------------------------------------
@@ -408,19 +406,24 @@ def propagate(tdh, psi0, s=None, t=None, method=None, substeps=256,
     Either supply a prebuilt ``table`` (then ``method``, if given, must agree
     with the table's method) or the parameters of a propagation (``method``
     defaults to ``magnus2``), whose steps are then streamed: no table is
-    held.  For unitary methods the state norm is conserved to roundoff.
+    held, except for ``dyson``.  For unitary methods the state norm is
+    conserved to roundoff.
     """
+    psi0 = _state(psi0, tdh.dim if table is None else table.dim)
+    if table is None and (s is None or t is None):
+        raise ArgumentError("s and t are required when no table is given")
+    if table is None and method == "dyson":
+        # A Dyson table is kept: the expansion converges only while dt * max|H|
+        # is small, so only for small d, where its table is small too.
+        # perfbench's tracer times dyson_propagator as propagators.dyson.
+        table = dyson_propagator(tdh, s, t, order, substeps, yosida_n)
     if table is not None:
-        psi0 = _state(psi0, table.dim)
         if method is not None and method != table.method:
             raise ArgumentError(
                 f"method {method!r} does not match table method {table.method!r}"
             )
         states = np.einsum("jab,b->ja", table.matrices, psi0)
         return Trajectory(table.times, states, table.method, table.max_unitarity_defect())
-    psi0 = _state(psi0, tdh.dim)
-    if s is None or t is None:
-        raise ArgumentError("s and t are required when no table is given")
     times, steps, label, _ = _steps(tdh, s, t, method or "magnus2", substeps, order,
                                     yosida_n, inner_scheme)
     states = np.empty((times.size, tdh.dim), dtype=complex)

@@ -8,6 +8,7 @@ with a ``KeyError``.  The tracer is loaded from its file, unchanged.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).parents[1]
@@ -34,3 +35,16 @@ def test_formevol_is_traced():
 def test_target_resolves(module, path):
     owner, attr = TRACING._owner(module, path)
     assert callable(vars(owner)[attr])
+
+
+def test_traced_dyson_propagate_records_a_dyson_span():
+    """``propagators.dyson_s`` of a traced Dyson ``propagate`` reads a real span."""
+    from formevol import AlphaProfile, circle_delta_model, propagators
+
+    tdh = circle_delta_model(1, AlphaProfile("trigonometric", {"amplitude": 1.0}), T=1.0)
+    psi0 = np.zeros(tdh.dim)
+    psi0[0] = 1.0
+    tracer = TRACING.Tracer()
+    with tracer.installed():
+        propagators.propagate(tdh, psi0, 0.0, 1.0, method="dyson", order=2, substeps=8)
+    assert TRACING.layer_metrics(tracer.spans)["propagators.dyson_s"] > 0
