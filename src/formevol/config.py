@@ -13,6 +13,7 @@ and encoded in :data:`SCHEMA` below.
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import hashlib
 import io
@@ -28,7 +29,10 @@ TWO_PI = 2.0 * math.pi
 
 
 def _parse_float(s):
-    return float(s)
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def _parse_int(s):
@@ -46,7 +50,7 @@ def _parse_float_list(s):
     s = s.strip()
     if not s:
         return ()
-    return tuple(float(x) for x in s.split(","))
+    return tuple(_parse_float(x) for x in s.split(","))
 
 
 def _parse_int_list(s):
@@ -56,16 +60,23 @@ def _parse_int_list(s):
     return tuple(int(x, 10) for x in s.split(","))
 
 
+def _parse_complex(s):
+    value = complex(s)
+    if not cmath.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_complex_list(s):
     s = s.strip()
     if not s:
         return ()
-    return tuple(complex(x) for x in s.split(","))
+    return tuple(_parse_complex(x) for x in s.split(","))
 
 
 def _parse_opt_float(s):
     s = s.strip()
-    return None if not s else float(s)
+    return None if not s else _parse_float(s)
 
 
 def _parse_opt_int(s):

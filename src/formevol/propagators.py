@@ -27,8 +27,11 @@ sequential.  One walker composes ``U[j+1] = E_j U[j]`` a block at a time
 and checks each row's unitarity: :func:`build_table` keeps the rows, and
 :func:`propagate` only the states ``U_j psi0`` and the largest defect (a
 Dyson one keeps its table, small wherever the expansion converges).  The
-convergence sweeps apply each step to a vector (:func:`final_state`).
-Tables are immutable once built.
+convergence sweeps apply each step to a vector (:func:`final_state`).  The
+Yosida sweep (:func:`yosida_convergence_study`) carries the reference and
+every ``H_n`` together: ``H_n`` is a spectral function of ``H``, so one
+eigensolve of each block's ``H(mid)`` stack gives the steps of all its runs,
+which are applied to a stack of states.  Tables are immutable once built.
 """
 
 from __future__ import annotations
@@ -49,12 +52,17 @@ _CF4_C = 0.25 - _SQRT3 / 6.0
 _CF4_D = 0.25 + _SQRT3 / 6.0
 
 
+def _spectral_exp(w, Q, dt) -> np.ndarray:
+    """``Q diag(exp(-i dt w)) Q*`` of eigenpairs ``(w, Q)``, or of stacks of them
+    broadcast together; ``dt`` is a scalar or one per leading index of ``w``."""
+    phases = np.exp(-1j * np.expand_dims(dt, -1) * w)
+    return (Q * phases[..., None, :]) @ Q.conj().swapaxes(-1, -2)
+
+
 def unitary_exp(H, dt) -> np.ndarray:
     """Exact ``exp(-i dt H)`` via eigendecomposition, of a Hermitian matrix or
     of each slice of a ``(..., d, d)`` stack; ``dt`` is a scalar or one per slice."""
-    w, Q = np.linalg.eigh(H)
-    phases = np.exp(-1j * np.expand_dims(dt, -1) * w)
-    return (Q * phases[..., None, :]) @ Q.conj().swapaxes(-1, -2)
+    return _spectral_exp(*np.linalg.eigh(H), dt)
 
 
 def yosida_operator(H, n, shift) -> np.ndarray:
@@ -371,19 +379,12 @@ def build_table(tdh, s, t, method="magnus2", substeps=256, order=2,
     return _table(tdh, s, *_steps(tdh, s, t, method, substeps, order, yosida_n, inner_scheme))
 
 
-def final_state(tdh, psi0, s, t, method="magnus2", substeps=256, order=2,
-                yosida_n=None, inner_scheme="magnus2") -> np.ndarray:
-    """``U(t, s) psi0`` for the propagation :func:`build_table` would tabulate.
+def _apply(psi, times, steps, method):
+    """``psi`` after every ``(block, E)`` of ``steps``, ``psi <- E_j psi``.
 
-    Each block's step propagators are applied to the state, ``psi <- E_j psi``,
-    so no ``(substeps + 1, d, d)`` table is built; the result equals the
-    table's final row applied to ``psi0`` up to roundoff.  A state whose squared
-    norm overflows after a block, as ``U* U`` in the table's unitarity check
-    would, raises :class:`NumericalError` naming the block's end time.
-    """
-    psi = _state(psi0, tdh.dim)
-    times, steps, _, _ = _steps(tdh, s, t, method, substeps, order, yosida_n, inner_scheme)
-    # Not through _walk: its per-block bookkeeping cost a few percent of a sweep.
+    ``psi`` may be a stack of runs, ``(R, d, 1)`` against steps ``(R, d, d)``.
+    Not through :func:`_walk`: its per-block bookkeeping cost a few percent of
+    a sweep."""
     for block, E in steps:
         # A diverged expansion overflows here; it is reported below, not warned.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -396,6 +397,21 @@ def final_state(tdh, psi0, s, t, method="magnus2", substeps=256, order=2,
                 "the truncated expansion diverged, raise substeps"
             )
     return psi
+
+
+def final_state(tdh, psi0, s, t, method="magnus2", substeps=256, order=2,
+                yosida_n=None, inner_scheme="magnus2") -> np.ndarray:
+    """``U(t, s) psi0`` for the propagation :func:`build_table` would tabulate.
+
+    Each block's step propagators are applied to the state, ``psi <- E_j psi``,
+    so no ``(substeps + 1, d, d)`` table is built; the result equals the
+    table's final row applied to ``psi0`` up to roundoff.  A state whose squared
+    norm overflows after a block, as ``U* U`` in the table's unitarity check
+    would, raises :class:`NumericalError` naming the block's end time.
+    """
+    psi = _state(psi0, tdh.dim)
+    times, steps, _, _ = _steps(tdh, s, t, method, substeps, order, yosida_n, inner_scheme)
+    return _apply(psi, times, steps, method)
 
 
 def propagate(tdh, psi0, s=None, t=None, method=None, substeps=256,
@@ -614,22 +630,53 @@ class YosidaStudy:
         return [(int(n), float(e), float(p), float(r)) for n, e, p, r in zip(*columns)]
 
 
-def yosida_convergence_study(tdh, n_list, psi0, s, t, substeps=1024,
-                             scheme="magnus2") -> YosidaStudy:
+def _sweep_steps(tdh, n_arr, times):
+    """Generator of ``(block, E)``: the magnus2 steps of ``H`` (row 0) and of
+    ``H_n`` for each ``n`` of ``n_arr`` (rows 1..), each block as one
+    ``(block, R, d, d)`` stack from one eigensolve of ``H(mid)``.
+
+    ``H_n`` is a function of ``H``, so it shares the eigenvectors and maps the
+    eigenvalues, ``lam -> lam / (1 + (lam + shift) / n)``; that form cannot
+    overflow where ``lam * n`` would.
+    """
+    shift = tdh.semibound.m + 1.0
+    for block in blocks(times.size - 1, tdh.dim):
+        a, b = times[:-1][block], times[1:][block]
+        dt, mid = b - a, 0.5 * (a + b)
+        w, Q = np.linalg.eigh(tdh.stack(mid))
+        w = w[:, None]
+        with np.errstate(all="ignore"):  # non-finite steps are refused below
+            mapped = w / (1.0 + (w + shift) / n_arr[:, None])
+            E = _spectral_exp(np.concatenate([w, mapped], axis=1), Q[:, None], dt[:, None])
+        bad = np.argwhere(~np.isfinite(E).all(axis=(-2, -1)))
+        if bad.size:
+            j, r = bad[0]
+            which = "H" if r == 0 else f"H_n, n = {n_arr[r - 1]},"
+            raise NumericalError(
+                f"Yosida sweep: the step propagator of {which} is not finite at "
+                f"t = {times[1:][block][j]}"
+            )
+        yield block, E
+
+
+def yosida_convergence_study(tdh, n_list, psi0, s, t, substeps=1024) -> YosidaStudy:
     """Propagate with ``H_n`` for each ``n`` and compare against ``H`` itself.
 
-    All runs share one inner scheme and substep count so the measured errors
-    isolate the regularization, not the time discretization.  ``err_h`` is
-    the ambient-norm state error at the final time, ``err_plus`` the same in
-    the plus norm of the scale at the start of the span.
+    Every run takes the same ``substeps`` magnus2 steps, so the measured
+    errors isolate the regularization, not the time discretization.  The runs
+    go together: each step's ``H(mid)`` is eigensolved once, for the reference
+    and every ``n`` (see :func:`_sweep_steps`), and the states of all runs
+    advance as one stack.  ``err_h`` is the ambient-norm state error at the
+    final time, ``err_plus`` the same in the plus norm of the scale at the
+    start of the span.
     """
     n_arr = np.asarray(list(n_list), dtype=int)
     if n_arr.size == 0 or np.any(np.diff(n_arr) <= 0):
         raise ArgumentError("n_list must be nonempty and strictly increasing")
-    ref = final_state(tdh, psi0, s, t, method=scheme, substeps=substeps)
-    finals = (
-        final_state(tdh, psi0, s, t, method="yosida", substeps=substeps, yosida_n=int(n),
-                    inner_scheme=scheme)
-        for n in n_arr
-    )
-    return YosidaStudy.against(ref, n_arr, finals, tdh.scale_at(tdh.t_span[0]))
+    if n_arr[0] < 1:
+        raise ArgumentError(f"regularization index must be a positive integer, got {n_arr[0]}")
+    psi = _state(psi0, tdh.dim)
+    times = _grid(s, t, substeps)
+    runs = np.repeat(psi[None, :, None], n_arr.size + 1, axis=0)
+    finals = _apply(runs, times, _sweep_steps(tdh, n_arr, times), "yosida sweep")[..., 0]
+    return YosidaStudy.against(finals[0], n_arr, finals[1:], tdh.scale_at(tdh.t_span[0]))

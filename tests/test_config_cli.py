@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from formevol import AffineHamiltonian, ConfigError, propagate, runs
+from formevol import AffineHamiltonian, ConfigError, config, propagate, runs
 from formevol.cli import main
 from formevol.config import config_hash, default_config, parse_config, serialize_config
 from formevol.runs import (
@@ -22,6 +22,15 @@ from formevol.runs import (
 from helpers import generic_twin
 
 CONFIGS = Path(__file__).parents[1] / "configs"
+
+#: Every key of the schema whose value is, or holds, a float or complex number.
+FLOAT_KEYS = [
+    f"{section}.{key}"
+    for section, keys in config.SCHEMA.items()
+    for key, (parser, _, _) in keys.items()
+    if parser in (config._parse_float, config._parse_opt_float,
+                  config._parse_float_list, config._parse_complex_list)
+]
 
 MINIMAL = """
 [model]
@@ -86,6 +95,14 @@ class TestParseConfig:
     def test_roundtrip_default(self):
         cfg = default_config()
         assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", FLOAT_KEYS)
+    def test_non_finite_numbers_are_refused_by_key(self, name, value):
+        section, key = name.split(".")
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[{section}]\n{key} = {value}\n")
+        assert err.value.errors == [f"{name}: cannot parse {value!r} (not a finite number)"]
 
     def test_yosida_method_requires_n(self):
         with pytest.raises(ConfigError) as err:
@@ -274,6 +291,18 @@ class TestCli:
         cfg = self._write(tmp_path, "[time]\nsteps = -3\n")
         assert main(["audit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "time.steps must be positive" in capsys.readouterr().err
+
+    def test_non_finite_phase_is_a_config_error(self, tmp_path, capsys):
+        # Parsed as a float, nan reached the eigensolver and exited 2 with
+        # "Eigenvalues did not converge".
+        text = (CONFIGS / "converge_circle.ini").read_text().replace(
+            "alpha_amplitude = 5.0", "alpha_amplitude = 5.0\nalpha_phase = nan")
+        cfg = self._write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "model.alpha_phase: cannot parse 'nan' (not a finite number)" in \
+            capsys.readouterr().err
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert (

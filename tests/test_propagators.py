@@ -27,7 +27,7 @@ from formevol import (
     yosida_hamiltonian,
     yosida_operator,
 )
-from formevol.propagators import _ordered_degrees
+from formevol.propagators import YosidaStudy, _ordered_degrees
 
 from helpers import (
     block_size,
@@ -744,3 +744,93 @@ class TestFinalState:
                 final_state(tdh, psi0, 0.0, 1.0, **options)
         with pytest.raises(ArgumentError):
             final_state(tdh, np.zeros(2), 0.0, 1.0)
+
+
+@pytest.fixture
+def sweep_finals(monkeypatch):
+    """``(ref, finals)``: the final states a Yosida sweep compares, the reference
+    and one per ``n``, read off its call to ``YosidaStudy.against``."""
+    seen = {}
+    against = YosidaStudy.against
+
+    def spy(cls, ref, n_values, finals, scale):
+        seen["ref"], seen["finals"] = ref, np.array(finals)
+        return against(ref, n_values, finals, scale)
+
+    monkeypatch.setattr(YosidaStudy, "against", classmethod(spy))
+
+    def run(*args, **kwargs):
+        yosida_convergence_study(*args, **kwargs)
+        return seen["ref"], seen["finals"]
+
+    return run
+
+
+class TestYosidaSweep:
+    """The sweep's runs, carried together, against separate propagations."""
+
+    @pytest.mark.parametrize("family", ["sin", "kink", "rotating_frame", "commuting_diagonal"])
+    def test_rows_match_separate_propagations(self, family, sweep_finals, blocks_of_32):
+        tdh = FAMILIES[family]()
+        blocks_of_32(tdh.dim)
+        psi0 = random_unit_vector(np.random.default_rng(11), tdh.dim)
+        t1 = tdh.t_span[1]
+        n_list = [1, 4, 64]
+        for s, t in ((0.0, t1), (t1, 0.3)):  # forward, and backward from the end
+            for substeps in edge_substeps(tdh):
+                ref, finals = sweep_finals(tdh, n_list, psi0, s, t, substeps=substeps)
+                expected = final_state(tdh, psi0, s, t, method="magnus2", substeps=substeps)
+                assert np.max(np.abs(ref - expected)) <= 1e-13
+                for n, final in zip(n_list, finals):
+                    expected = final_state(tdh, psi0, s, t, method="yosida", yosida_n=n,
+                                           substeps=substeps)
+                    assert np.max(np.abs(final - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("n_list", [[4], [2, 4, 8, 16, 32, 64, 128]])
+    def test_one_eigensolve_per_block_for_every_n(self, n_list, monkeypatch, blocks_of_32):
+        tdh = FAMILIES["sin"]()
+        d = tdh.dim
+        blocks_of_32(d)
+        b = block_size(d)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        psi0 = np.eye(d, dtype=complex)[0]
+        yosida_convergence_study(tdh, n_list, psi0, 0.0, 1.0, substeps=2 * b + 1)
+        # One stack per block of steps, then the plus norm's scale.
+        assert shapes == [(b, d, d), (b, d, d), (1, d, d), (d, d)]
+
+    @pytest.mark.parametrize("n_list", [[0, 4], [-3]])
+    def test_rejects_an_index_below_one(self, n_list):
+        tdh = constant_family(np.eye(2))
+        with pytest.raises(ArgumentError, match="positive integer"):
+            yosida_convergence_study(tdh, n_list, np.array([1.0, 0.0]), 0.0, 1.0)
+
+    def test_huge_eigenvalues_do_not_overflow(self):
+        # n * lam overflows for lam = 1e307 and n = 64; lam / (1 + (lam + shift) / n) does not.
+        tdh = synthetic_family("constant", 2, 1.0, {"matrix": np.diag([0.0, 1e307])})
+        psi0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            study = yosida_convergence_study(tdh, [4, 64], psi0, 0.0, 1.0, substeps=8)
+        assert np.all(np.isfinite(study.err_h))
+        assert np.all(np.isfinite(study.err_plus))
+
+    @pytest.mark.parametrize("H, m, T, message", [
+        # dt * lam overflows in the reference's phases.
+        (np.diag([0.0, 1e307]), 0.0, 80.0, r"of H is not finite at t = 20\.0$"),
+        # A semibound that does not hold puts lam = -5 on the pole of the map at n = 4.
+        (np.diag([-5.0, 0.0]), 0.0, 1.0, r"of H_n, n = 4, is not finite at t = 0\.25$"),
+    ])
+    def test_non_finite_steps_are_a_numerical_error(self, H, m, T, message):
+        tdh = TimeDependentHamiltonian(2, lambda t: H, (0.0, T), Semibound(m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=message):
+                yosida_convergence_study(tdh, [2, 4], np.array([1.0, 0.0]), 0.0, T,
+                                         substeps=4)
