@@ -625,9 +625,10 @@ class YosidaStudy:
         later = self.err_h[1:]
         return np.divide(self.err_h[:-1], later, out=np.full(later.shape, np.nan), where=later > 0)
 
-    def rows(self):
-        columns = (self.n_values, self.err_h, self.err_plus, np.append(np.nan, self.ratios))
-        return [(int(n), float(e), float(p), float(r)) for n, e, p, r in zip(*columns)]
+    def columns(self, swept):
+        """The sweep as CSV columns; ``swept`` heads the column of ``n_values``."""
+        return {swept: self.n_values, "err_H": self.err_h, "err_plus": self.err_plus,
+                "ratio": np.append(np.nan, self.ratios)}
 
 
 def _sweep_steps(tdh, n_arr, times):

@@ -1,13 +1,16 @@
 """Experiment orchestration and deterministic artifact serialization.
 
-Each runner consumes a validated :class:`~formevol.config.ExperimentConfig`,
-writes its artifacts into an output directory, and returns a
-:class:`RunRecord` listing them.  Artifacts are deterministic: floats are
-written with 17 significant digits in scientific notation, rows and keys
-have fixed order, line endings are LF, and no timestamps appear in data
-files (wall-clock information lives only in the run record).  Files are
-written atomically (temp file + rename), so concurrent runs into distinct
-directories never interleave.
+Each runner consumes a validated :class:`~formevol.config.ExperimentConfig`
+and builds its artifacts as data, ``{file name: content}``: a CSV artifact
+is an ordered mapping from header to a 1-d column, a JSON artifact an
+object.  :func:`_finish` writes them only once all are built, so a run that
+fails writes no data artifact.  A column is formatted once, by dtype:
+strings as they are, integers in decimal, floats with 17 significant digits
+in scientific notation; ragged and complex columns are refused.  Rows and
+keys have fixed order, line endings are LF, and no timestamps appear in
+data files (wall-clock information lives only in the run record).  Files
+are written atomically (temp file + rename), so concurrent runs into
+distinct directories never interleave.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_hash, serialize_config
-from .errors import ConfigError
+from .errors import ArgumentError, ConfigError
 from .models import alpha_profile, circle_delta_model, spectrum, synthetic_family
 from .propagators import (
     YosidaStudy,
@@ -32,10 +35,6 @@ from .propagators import (
     yosida_convergence_study,
 )
 from .regularity import bridge_check, uniform_grid
-
-
-def _fmt_float(x) -> str:
-    return f"{float(x):.16e}"
 
 
 def _write_atomic(path, text):
@@ -52,24 +51,33 @@ def _write_atomic(path, text):
         raise
 
 
-def write_csv(path, header, rows):
-    """RFC-4180-style CSV: header row, LF endings, full float precision."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, str):
-                cells.append(cell)
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            else:
-                cells.append(_fmt_float(cell))
-        lines.append(",".join(cells))
+def _cells(header, values, rows):
+    """The cells of one column as text, formatted by the column's dtype."""
+    values = np.asarray(values)
+    if values.shape != (rows,):
+        raise ArgumentError(
+            f"column {header!r} has shape {values.shape}; the first column has {rows} rows")
+    kind = values.dtype.kind
+    if kind == "U":
+        return values.tolist()
+    if kind in "iu":
+        return [str(v) for v in values.tolist()]
+    if kind == "f":
+        return [f"{v:.16e}" for v in values.tolist()]
+    raise ArgumentError(f"column {header!r}: cannot write values of dtype {values.dtype}")
+
+
+def write_csv(path, columns):
+    """RFC-4180-style CSV of ``{header: 1-d column}``: LF endings, full float precision."""
+    rows = len(next(iter(columns.values()), ()))
+    cells = [_cells(header, values, rows) for header, values in columns.items()]
+    lines = [",".join(columns), *map(",".join, zip(*cells))]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_json(path, obj):
-    _write_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Sorted, indented JSON; numpy values as JSON values, non-finite floats as text."""
+    _write_atomic(path, json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
 
 
 def _jsonable(obj):
@@ -106,10 +114,6 @@ class RunRecord:
 
     def to_dict(self):
         return asdict(self)
-
-
-def _versions():
-    return {"formevol": __version__, "numpy": np.__version__}
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +204,7 @@ def _span(cfg: ExperimentConfig):
     return start, stop
 
 
-def _coefficient_labels(cfg, tdh, indices):
+def _coefficient_labels(cfg, indices):
     if cfg.model.kind == "circle_delta":
         K = cfg.model.K
         return [f"k{idx - K:+d}" for idx in indices]
@@ -212,24 +216,26 @@ def _coefficient_labels(cfg, tdh, indices):
 # ---------------------------------------------------------------------------
 
 
-def _finish(cfg, outdir, outputs, seed, t_start, tdh, counters=None):
+def _finish(cfg, outdir, artifacts, series, t_start, tdh, counters=None):
+    """Write ``artifacts`` (``.csv`` ones as columns, the rest as JSON), then
+    ``plotdata.csv`` of ``series``, ``effective_config.ini`` and ``run_record.json``."""
+    tag = config_hash(cfg)
+    for name, content in artifacts.items():
+        write = write_csv if name.endswith(".csv") else write_json
+        write(os.path.join(outdir, name), content)
+    emit_plotdata([(tag, series)], os.path.join(outdir, "plotdata.csv"))
+    _write_atomic(os.path.join(outdir, "effective_config.ini"), serialize_config(cfg))
     record = RunRecord(
-        config_hash=config_hash(cfg),
-        seed=seed,
-        versions=_versions(),
+        config_hash=tag,
+        seed=cfg.audit.seed,
+        versions={"formevol": __version__, "numpy": np.__version__},
         wall_time_s=_time.perf_counter() - t_start,
-        outputs=sorted(outputs),
+        outputs=sorted([*artifacts, "plotdata.csv", "effective_config.ini"]),
         arithmetic=tdh.stack(tdh.t_span[:1]).dtype.name,
         counters=counters or {},
     )
     write_json(os.path.join(outdir, "run_record.json"), record.to_dict())
     return record
-
-
-def _write_effective_config(cfg, outdir, outputs):
-    path = os.path.join(outdir, "effective_config.ini")
-    _write_atomic(path, serialize_config(cfg))
-    outputs.append("effective_config.ini")
 
 
 def _rayleigh_max_ratio(A, samples):
@@ -258,16 +264,10 @@ def run_audit(cfg: ExperimentConfig, outdir, grid_refine=0):
     grid = uniform_grid(0.0, cfg.model.T, points)
     report = bridge_check(
         tdh, grid, t0=audit.t0, k2_order=audit.k2_order, slope_min=audit.k2_slope_min)
-
-    outputs = []
-    columns = ("lambda_min", "pencil_max", "pencil_min", "s2_local", "k2_local")
-    rows = zip(grid, *(report.per_t[name] for name in columns))
-    write_csv(
-        os.path.join(outdir, "audit.csv"),
-        ["t", "lambda_min", "lambda_max_pencil", "lambda_min_pencil", "S2_local", "K2_omega_at_t"],
-        rows,
-    )
-    outputs.append("audit.csv")
+    names = ("lambda_min", "pencil_max", "pencil_min", "s2_local", "k2_local")
+    headers = ("t", "lambda_min", "lambda_max_pencil", "lambda_min_pencil", "S2_local",
+               "K2_omega_at_t")
+    table = dict(zip(headers, [grid, *(report.per_t[name] for name in names)]))
 
     summary = report.to_dict()
     if audit.rayleigh_samples > 0:
@@ -278,16 +278,11 @@ def run_audit(cfg: ExperimentConfig, outdir, grid_refine=0):
         worst = summary["rayleigh_max_ratio"] = _rayleigh_max_ratio(A, samples)
         bound = report.s1_operator_constant * (1.0 + 1e-12)
         summary["rayleigh_within_bound"] = bool(worst <= bound)
-    write_json(os.path.join(outdir, "audit_summary.json"), _jsonable(summary))
-    outputs.append("audit_summary.json")
 
-    series = {name: (grid, report.per_t[name]) for name in columns[:4]}
-    series["k2_omega"] = tuple(np.array(column) for column in zip(*report.k2_modulus))
-    emit_plotdata([(config_hash(cfg), series)], os.path.join(outdir, "plotdata.csv"))
-    outputs.append("plotdata.csv")
-
-    _write_effective_config(cfg, outdir, outputs)
-    return report, _finish(cfg, outdir, outputs, audit.seed, t_start, tdh, report.counters)
+    series = {name: (grid, report.per_t[name]) for name in names[:4]}
+    series["k2_omega"] = np.transpose(report.k2_modulus)
+    artifacts = {"audit.csv": table, "audit_summary.json": summary}
+    return report, _finish(cfg, outdir, artifacts, series, t_start, tdh, report.counters)
 
 
 def run_propagation(cfg: ExperimentConfig, outdir, grid_refine=0):
@@ -296,70 +291,38 @@ def run_propagation(cfg: ExperimentConfig, outdir, grid_refine=0):
     tdh = build_model(cfg)
     psi0 = initial_state(cfg, tdh)
     s, t = _span(cfg)
-    steps = cfg.time.steps * 2**grid_refine
-    inner = cfg.propagator.substeps
-    traj = propagate(
-        tdh,
-        psi0,
-        s,
-        t,
-        method=cfg.propagator.method,
-        substeps=steps * inner,
-        order=cfg.propagator.order,
-        yosida_n=cfg.propagator.yosida_n,
-    )
+    prop = cfg.propagator
+    steps, inner = cfg.time.steps * 2**grid_refine, prop.substeps
+    traj = propagate(tdh, psi0, s, t, method=prop.method, substeps=steps * inner,
+                     order=prop.order, yosida_n=prop.yosida_n)
     times = traj.times[::inner]
     states = traj.states[::inner]
 
     order = np.argsort(-np.abs(psi0), kind="stable")
     selected = np.sort(order[: min(4, tdh.dim)])
-    labels = _coefficient_labels(cfg, tdh, selected)
+    labels = _coefficient_labels(cfg, selected)
 
     scale0 = tdh.scale_at(tdh.t_span[0])
     test = np.eye(tdh.dim, dtype=complex)[selected]
     sub_traj = replace(traj, times=times, states=states)
     report = weak_residual(tdh, sub_traj, test, scale=scale0)
 
-    header = ["t"]
-    for lab in labels:
-        header += [f"re_{lab}", f"im_{lab}"]
-    header += ["norm_H", "norm_plus", "weak_residual_local"]
-    weak_local = np.append(report.weak_local, 0.0)
-    norm_plus = [scale0.norm_plus(v) for v in states]
-    rows = []
-    for j, tj in enumerate(times):
-        row = [tj]
-        for idx in selected:
-            row += [states[j, idx].real, states[j, idx].imag]
-        row += [
-            float(np.linalg.norm(states[j])),
-            norm_plus[j],
-            float(weak_local[j]),
-        ]
-        rows.append(row)
-    outputs = []
-    write_csv(os.path.join(outdir, "trajectory.csv"), header, rows)
-    outputs.append("trajectory.csv")
-
-    summary = report.to_dict()
-    summary["unitarity_defect"] = traj.unitarity_defect
-    summary["method"] = traj.method
-    write_json(os.path.join(outdir, "residuals.json"), _jsonable(summary))
-    outputs.append("residuals.json")
-
-    series = {
-        "norm_H": (times, np.linalg.norm(states, axis=1)),
-        "norm_plus": (times, np.array(norm_plus)),
-        "weak_residual": (report.midpoints, report.weak_local),
-    }
+    norm_h = np.linalg.norm(states, axis=1)
+    norm_plus = np.array([scale0.norm_plus(v) for v in states])
+    trajectory = {"t": times}
+    series = {"norm_H": (times, norm_h), "norm_plus": (times, norm_plus),
+              "weak_residual": (report.midpoints, report.weak_local)}
     for lab, idx in zip(labels, selected):
-        series[f"abs_{lab}"] = (times, np.abs(states[:, idx]))
-    emit_plotdata([(config_hash(cfg), series)], os.path.join(outdir, "plotdata.csv"))
-    outputs.append("plotdata.csv")
-
-    _write_effective_config(cfg, outdir, outputs)
+        coefficient = states[:, idx]
+        trajectory[f"re_{lab}"], trajectory[f"im_{lab}"] = coefficient.real, coefficient.imag
+        series[f"abs_{lab}"] = (times, np.abs(coefficient))
+    trajectory.update(norm_H=norm_h, norm_plus=norm_plus,
+                      weak_residual_local=np.append(report.weak_local, 0.0))
+    summary = {**report.to_dict(), "unitarity_defect": traj.unitarity_defect,
+               "method": traj.method}
+    artifacts = {"trajectory.csv": trajectory, "residuals.json": summary}
     counters = {"propagation_steps": traj.times.size - 1}
-    return report, _finish(cfg, outdir, outputs, cfg.audit.seed, t_start, tdh, counters)
+    return report, _finish(cfg, outdir, artifacts, series, t_start, tdh, counters)
 
 
 def run_convergence(cfg: ExperimentConfig, outdir):
@@ -368,34 +331,25 @@ def run_convergence(cfg: ExperimentConfig, outdir):
     n_list = cfg.propagator.n_list
     steps_list = cfg.propagator.steps_list
     if not n_list and not steps_list:
-        raise ConfigError(
-            ["propagator.n_list and propagator.steps_list cannot both be empty"]
-        )
+        raise ConfigError(["propagator.n_list and propagator.steps_list cannot both be empty"])
+    if any(b <= a for a, b in zip(steps_list, steps_list[1:])):
+        raise ConfigError(["propagator.steps_list must be strictly increasing"])
     tdh = build_model(cfg)
     psi0 = initial_state(cfg, tdh)
     s, t = _span(cfg)
-    outputs = []
-    series = {}
+    artifacts, series = {}, {}
     steps = 0  # propagation steps applied, over both sweeps
 
     if n_list:
         study = yosida_convergence_study(
             tdh, list(n_list), psi0, s, t, substeps=cfg.time.steps
         )
-        write_csv(
-            os.path.join(outdir, "convergence.csv"),
-            ["n", "err_H", "err_plus", "ratio"],
-            study.rows(),
-        )
-        outputs.append("convergence.csv")
-        ns = study.n_values.astype(float)
-        series["yosida_err_H"] = (ns, study.err_h)
-        series["yosida_err_plus"] = (ns, study.err_plus)
+        artifacts["convergence.csv"] = study.columns("n")
+        series["yosida_err_H"] = (study.n_values, study.err_h)
+        series["yosida_err_plus"] = (study.n_values, study.err_plus)
         steps += cfg.time.steps * (len(n_list) + 1)
 
     if steps_list:
-        if any(b <= a for a, b in zip(steps_list, steps_list[1:])):
-            raise ConfigError(["propagator.steps_list must be strictly increasing"])
         prop = cfg.propagator
         options = {"method": prop.method, "order": prop.order, "yosida_n": prop.yosida_n}
         ref_steps = 4 * max(steps_list)
@@ -403,18 +357,10 @@ def run_convergence(cfg: ExperimentConfig, outdir):
         finals = (final_state(tdh, psi0, s, t, substeps=N, **options) for N in steps_list)
         steps += ref_steps + sum(steps_list)
         sweep = YosidaStudy.against(ref, steps_list, finals, tdh.scale_at(tdh.t_span[0]))
-        write_csv(
-            os.path.join(outdir, "convergence_steps.csv"),
-            ["steps", "err_H", "err_plus", "ratio"],
-            sweep.rows(),
-        )
-        outputs.append("convergence_steps.csv")
-        series["steps_err_H"] = (np.asarray(steps_list, float), sweep.err_h)
+        artifacts["convergence_steps.csv"] = sweep.columns("steps")
+        series["steps_err_H"] = (sweep.n_values, sweep.err_h)
 
-    emit_plotdata([(config_hash(cfg), series)], os.path.join(outdir, "plotdata.csv"))
-    outputs.append("plotdata.csv")
-    _write_effective_config(cfg, outdir, outputs)
-    return _finish(cfg, outdir, outputs, cfg.audit.seed, t_start, tdh, {"propagation_steps": steps})
+    return _finish(cfg, outdir, artifacts, series, t_start, tdh, {"propagation_steps": steps})
 
 
 def run_spectrum(cfg: ExperimentConfig, outdir, grid_refine=0):
@@ -424,29 +370,35 @@ def run_spectrum(cfg: ExperimentConfig, outdir, grid_refine=0):
     points = (cfg.audit.grid_points - 1) * 2**grid_refine + 1
     grid = uniform_grid(0.0, cfg.model.T, points)
     evals = spectrum(tdh, grid)
-    rows = [(tj, idx, float(lam)) for tj, row in zip(grid, evals) for idx, lam in enumerate(row)]
-    outputs = []
-    write_csv(os.path.join(outdir, "spectrum.csv"), ["t", "index", "eigenvalue"], rows)
-    outputs.append("spectrum.csv")
-
-    series = {f"level_{idx:03d}": (grid, evals[:, idx]) for idx in range(evals.shape[1])}
-    emit_plotdata([(config_hash(cfg), series)], os.path.join(outdir, "plotdata.csv"))
-    outputs.append("plotdata.csv")
-    _write_effective_config(cfg, outdir, outputs)
-    return _finish(cfg, outdir, outputs, cfg.audit.seed, t_start, tdh)
+    levels = evals.shape[1]
+    table = {
+        "t": np.repeat(grid, levels),
+        "index": np.tile(np.arange(levels), grid.size),
+        "eigenvalue": evals.ravel(),
+    }
+    series = {f"level_{idx:03d}": (grid, evals[:, idx]) for idx in range(levels)}
+    return _finish(cfg, outdir, {"spectrum.csv": table}, series, t_start, tdh)
 
 
 def emit_plotdata(records, path):
     """Merge (hash, series) records into one tidy long-format CSV.
 
     Rows are ``series,x,y`` with the series name prefixed by the originating
-    config hash, so merged runs cannot collide.  Ordering is deterministic:
-    records in the given order, series sorted by name.
+    config hash, so merged runs cannot collide; x and y are written as floats.
+    Ordering is deterministic: records in the given order, series sorted by
+    name.  A series whose x and y differ in length is refused.
     """
-    rows = []
+    # The empty float heads make x and y float columns even for no or integer series.
+    labels, counts, xs, ys = [], [], [np.zeros(0)], [np.zeros(0)]
     for tag, series in records:
         for name in sorted(series):
-            xs, ys = series[name]
-            for x, y in zip(np.asarray(xs), np.asarray(ys)):
-                rows.append((f"{tag}:{name}", float(x), float(y)))
-    write_csv(path, ["series", "x", "y"], rows)
+            x, y = map(np.asarray, series[name])
+            if len(x) != len(y):
+                raise ArgumentError(
+                    f"plotdata series {tag}:{name} has {len(x)} x values and {len(y)} y values")
+            labels.append(f"{tag}:{name}")
+            counts.append(len(x))
+            xs.append(x)
+            ys.append(y)
+    write_csv(path, {"series": np.repeat(np.array(labels, dtype=str), counts),
+                     "x": np.concatenate(xs), "y": np.concatenate(ys)})

@@ -10,6 +10,10 @@ import pytest
 from formevol import AffineHamiltonian, ConfigError, config, propagate, runs
 from formevol.cli import main
 from formevol.config import config_hash, default_config, parse_config, serialize_config
+from formevol.errors import ArgumentError
+from formevol.models import spectrum
+from formevol.propagators import yosida_convergence_study
+from formevol.regularity import bridge_check, uniform_grid
 from formevol.runs import (
     build_model,
     emit_plotdata,
@@ -17,6 +21,8 @@ from formevol.runs import (
     run_audit,
     run_convergence,
     run_propagation,
+    run_spectrum,
+    write_csv,
 )
 
 from helpers import generic_twin
@@ -243,6 +249,121 @@ mode = 0
         with pytest.raises(ConfigError):
             run_convergence(parse_config(text), str(tmp_path))
 
+    def test_failed_run_writes_no_data_artifact(self, tmp_path):
+        # The Yosida sweep succeeds; the step sweep is refused.  Before any
+        # artifact was written, convergence.csv was left behind.
+        text = "[model]\nK = 1\n[time]\nsteps = 16\n[propagator]\nn_list = 2,4\nsteps_list = 8,4\n"
+        with pytest.raises(ConfigError, match="steps_list must be strictly increasing"):
+            run_convergence(parse_config(text), str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+
+def read_columns(path):
+    """``{header: [cell, ...]}`` of a CSV artifact, cells as text."""
+    header, *rows = path.read_text().splitlines()
+    return dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+
+
+def assert_same_floats(cells, expected):
+    """The cells parse with ``float()`` to ``expected``, bit for bit."""
+    parsed = np.array([float(cell) for cell in cells])
+    expected = np.asarray(expected, dtype=float)
+    assert parsed.shape == expected.shape
+    assert np.array_equal(parsed.view(np.uint64), expected.view(np.uint64))
+
+
+class TestWriteCsv:
+    def test_golden_text(self, tmp_path):
+        path = tmp_path / "golden.csv"
+        write_csv(str(path), {
+            "i": np.array([0, -7, 2**40, 3, 42, 2**63 - 1, 1]),
+            "s": ["a", "b:c", "", "x y", "-", "level_000", "z"],
+            "x": np.array([-0.0, 5e-324, 1e100, np.nan, np.inf, -np.inf, 0.1]),
+        })
+        assert path.read_bytes() == (
+            b"i,s,x\n"
+            b"0,a,-0.0000000000000000e+00\n"
+            b"-7,b:c,4.9406564584124654e-324\n"
+            b"1099511627776,,1.0000000000000000e+100\n"
+            b"3,x y,nan\n"
+            b"42,-,inf\n"
+            b"9223372036854775807,level_000,-inf\n"
+            b"1,z,1.0000000000000001e-01\n"
+        )
+
+    def test_ragged_column_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        with pytest.raises(ArgumentError, match="'err_H'"):
+            write_csv(str(path), {"n": np.arange(3), "err_H": np.zeros(2), "ratio": np.zeros(3)})
+        assert not path.exists()
+
+    def test_complex_column_is_refused(self, tmp_path):
+        with pytest.raises(ArgumentError, match="'psi'.*complex128"):
+            write_csv(str(tmp_path / "c.csv"), {"t": np.zeros(2), "psi": np.ones(2, complex)})
+
+
+class TestArtifactRoundTrip:
+    """Every data column of a CSV artifact parses back to the library's array."""
+
+    TEXT = """
+[model]
+kind = circle_delta
+K = 2
+alpha = sin
+alpha_amplitude = 3.0
+T = 6.283185307179586
+
+[audit]
+grid_points = 33
+
+[time]
+steps = 64
+
+[propagator]
+n_list = 2,4,8
+steps_list =
+"""
+
+    def test_audit_csv(self, tmp_path):
+        cfg = parse_config(self.TEXT)
+        run_audit(cfg, str(tmp_path))
+        columns = read_columns(tmp_path / "audit.csv")
+        grid = uniform_grid(0.0, cfg.model.T, cfg.audit.grid_points)
+        per_t = bridge_check(build_model(cfg), grid, t0=cfg.audit.t0, k2_order=cfg.audit.k2_order,
+                             slope_min=cfg.audit.k2_slope_min).per_t
+        expected = {"t": grid, "lambda_min": per_t["lambda_min"],
+                    "lambda_max_pencil": per_t["pencil_max"],
+                    "lambda_min_pencil": per_t["pencil_min"], "S2_local": per_t["s2_local"],
+                    "K2_omega_at_t": per_t["k2_local"]}
+        assert list(columns) == list(expected)
+        for header, values in expected.items():
+            assert_same_floats(columns[header], values)
+
+    def test_spectrum_csv(self, tmp_path):
+        cfg = parse_config(self.TEXT)
+        run_spectrum(cfg, str(tmp_path))
+        columns = read_columns(tmp_path / "spectrum.csv")
+        grid = uniform_grid(0.0, cfg.model.T, cfg.audit.grid_points)
+        evals = spectrum(build_model(cfg), grid)
+        assert list(columns) == ["t", "index", "eigenvalue"]
+        # Rows are t-major, index-minor.
+        assert_same_floats(columns["t"], np.repeat(grid, evals.shape[1]))
+        assert [int(cell) for cell in columns["index"]] == list(range(evals.shape[1])) * grid.size
+        assert_same_floats(columns["eigenvalue"], evals.ravel())
+
+    def test_convergence_csv(self, tmp_path):
+        cfg = parse_config(self.TEXT)
+        run_convergence(cfg, str(tmp_path))
+        columns = read_columns(tmp_path / "convergence.csv")
+        tdh = build_model(cfg)
+        study = yosida_convergence_study(tdh, [2, 4, 8], initial_state(cfg, tdh), 0.0,
+                                         cfg.model.T, substeps=cfg.time.steps)
+        assert list(columns) == ["n", "err_H", "err_plus", "ratio"]
+        assert [int(cell) for cell in columns["n"]] == [2, 4, 8]
+        assert_same_floats(columns["err_H"], study.err_h)
+        assert_same_floats(columns["err_plus"], study.err_plus)
+        assert_same_floats(columns["ratio"], np.append(np.nan, study.ratios))
+
 
 class TestEmitPlotdata:
     def test_single_record_has_series(self, tmp_path):
@@ -258,6 +379,21 @@ class TestEmitPlotdata:
         path = tmp_path / "plot.csv"
         emit_plotdata([], str(path))
         assert path.read_text() == "series,x,y\n"
+
+    def test_ragged_series_is_refused_by_name(self, tmp_path):
+        # zip() used to drop the third x and write two rows.
+        path = tmp_path / "plot.csv"
+        with pytest.raises(ArgumentError, match="a:s has 3 x values and 2 y values"):
+            emit_plotdata([("a", {"s": (np.arange(3.0), np.arange(2.0))})], str(path))
+        assert not path.exists()
+
+    def test_integer_series_are_written_as_floats(self, tmp_path):
+        path = tmp_path / "plot.csv"
+        emit_plotdata([("a", {"s": (np.arange(2), np.arange(2))})], str(path))
+        assert path.read_text().splitlines()[1:] == [
+            "a:s,0.0000000000000000e+00,0.0000000000000000e+00",
+            "a:s,1.0000000000000000e+00,1.0000000000000000e+00",
+        ]
 
     def test_merged_records_no_collisions(self, tmp_path):
         path = tmp_path / "plot.csv"

@@ -543,9 +543,13 @@ class TestYosidaConvergence:
         e0 = np.array([1.0, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = yosida_convergence_study(tdh, [2, 4], e0, 0.0, 1.0, substeps=8).rows()
-        assert [row[:3] for row in rows] == [(2, 0.0, 0.0), (4, 0.0, 0.0)]
-        assert all(math.isnan(row[3]) for row in rows)
+            study = yosida_convergence_study(tdh, [2, 4], e0, 0.0, 1.0, substeps=8)
+            columns = study.columns("n")
+        assert list(columns) == ["n", "err_H", "err_plus", "ratio"]
+        assert columns["n"].tolist() == [2, 4]
+        assert columns["err_H"].tolist() == [0.0, 0.0]
+        assert columns["err_plus"].tolist() == [0.0, 0.0]
+        assert all(math.isnan(r) for r in columns["ratio"])
 
 
 class TestUnitarityDefects:
