@@ -250,8 +250,8 @@ mode = 0
             run_convergence(parse_config(text), str(tmp_path))
 
     def test_failed_run_writes_no_data_artifact(self, tmp_path):
-        # The Yosida sweep succeeds; the step sweep is refused.  Before any
-        # artifact was written, convergence.csv was left behind.
+        # The Yosida sweep alone would succeed; the refused step sweep must
+        # not leave its convergence.csv behind.
         text = "[model]\nK = 1\n[time]\nsteps = 16\n[propagator]\nn_list = 2,4\nsteps_list = 8,4\n"
         with pytest.raises(ConfigError, match="steps_list must be strictly increasing"):
             run_convergence(parse_config(text), str(tmp_path / "out"))
@@ -381,7 +381,7 @@ class TestEmitPlotdata:
         assert path.read_text() == "series,x,y\n"
 
     def test_ragged_series_is_refused_by_name(self, tmp_path):
-        # zip() used to drop the third x and write two rows.
+        # Writing only the rows both have would misalign every later series.
         path = tmp_path / "plot.csv"
         with pytest.raises(ArgumentError, match="a:s has 3 x values and 2 y values"):
             emit_plotdata([("a", {"s": (np.arange(3.0), np.arange(2.0))})], str(path))
