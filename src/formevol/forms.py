@@ -12,6 +12,9 @@ fresh, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +74,51 @@ def blocks(n, dim):
     ``dim x dim`` matrices and :data:`BLOCK_ENTRIES` entries."""
     size = max(1, min(BLOCK_SLICES, BLOCK_ENTRIES // (dim * dim)))
     return [slice(start, start + size) for start in range(0, n, size)]
+
+
+def block_threads(parts):
+    """Threads :func:`map_blocks` runs ``parts`` parts on: one per CPU this
+    process may use, at most one per part, and at least one."""
+    return max(1, min(len(os.sched_getaffinity(0)), parts))
+
+
+def map_blocks(fn, parts):
+    """``[fn(part) for part in parts]``, the parts run concurrently.
+
+    The calling thread and ``block_threads(len(parts)) - 1`` helper threads
+    take the parts one at a time, in order, as each becomes free; with one
+    CPU or one part no thread starts, and the caller runs them all.  Each
+    helper runs in a copy of the caller's context, so ``np.errstate`` and
+    other context variables reach its parts.  If parts fail, the exception of
+    the earliest one is raised, as the serial loop would raise it: parts are
+    taken in order, and none is taken once one has failed.
+    """
+    parts = list(parts)
+    results, errors = [None] * len(parts), {}
+    tickets, lock = iter(range(len(parts))), threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = None if errors else next(tickets, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(parts[i])
+            except BaseException as exc:
+                with lock:
+                    errors[i] = exc
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
+               for _ in range(block_threads(len(parts)) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def hermitian_spectral_norm(M):

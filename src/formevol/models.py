@@ -19,13 +19,14 @@ The circle and the constant and commuting-diagonal families are affine
 The coefficients and the profiles ``alpha`` take a whole array of times, so
 stacking ``H`` on a grid calls each of them once, not once per time.
 
-Model objects are immutable specifications; their evaluation callables are
-pure and safe for concurrent invocation.
+Model objects are immutable specifications.  A family calls its evaluation
+callables under its own lock, so they need not be thread-safe.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import partialmethod
 
@@ -172,8 +173,9 @@ class TimeDependentHamiltonian:
     are its one-time slices.  Here stacks call per-time callables; see
     :class:`AffineHamiltonian` for families whose coefficients take arrays.
 
-    The evaluation callables must be pure; instances carry no mutable state,
-    so they are safe for concurrent use.
+    The evaluation callables must be pure.  They are user code, so stacks
+    call them under one lock per family: concurrent blocks of a grid never
+    enter them from two threads at once.
     """
 
     def __init__(
@@ -197,6 +199,7 @@ class TimeDependentHamiltonian:
         self.source = source
         # By derivative order, what ``stack`` evaluates; None when not offered.
         self._fns = (matrix_fn, derivative_fn, second_derivative_fn)
+        self._lock = threading.Lock()
 
     def _offered(self, order):
         if order not in (0, 1, 2):
@@ -217,7 +220,8 @@ class TimeDependentHamiltonian:
             return None
         name = ("H", "dH/dt", "d2H/dt2")[order]
         times, shape = np.asarray(times, dtype=float), (self.dim, self.dim)
-        slices = [np.asarray(fn(t)) for t in times]
+        with self._lock:
+            slices = [np.asarray(fn(t)) for t in times]
         for t, M in zip(times, slices):
             if M.shape != shape:
                 raise ArgumentError(f"{name}({t}) has shape {M.shape}, expected {shape}")
@@ -280,9 +284,11 @@ class AffineHamiltonian(TimeDependentHamiltonian):
         if coefficients is None:
             return None
         times = np.asarray(times, dtype=float)
+        with self._lock:
+            values = [f(times) for f in coefficients]
         out = np.zeros((times.size, self.dim, self.dim), dtype=np.result_type(self.H0, *self.B))
-        for r, (f, B) in enumerate(zip(coefficients, self.B)):
-            c = np.broadcast_to(np.asarray(f(times), dtype=float), times.shape)[:, None, None]
+        for r, (f_t, B) in enumerate(zip(values, self.B)):
+            c = np.broadcast_to(np.asarray(f_t, dtype=float), times.shape)[:, None, None]
             if r == 0:
                 np.multiply(c, B, out=out)
             else:

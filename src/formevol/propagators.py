@@ -70,15 +70,27 @@ def yosida_operator(H, n, shift) -> np.ndarray:
 
     ``A = H + shift I`` is the positive definite shifted operator; the map
     acts spectrally as ``lam -> (lam_A - shift) * n / (n + lam_A)``, so
-    ``|H_n| <= n + shift`` while ``H_n -> H`` as ``n`` grows.
+    ``|H_n| <= n + shift`` while ``H_n -> H`` as ``n`` grows.  A map that
+    overflows raises :class:`NumericalError` naming ``n`` and the first slice.
     """
+    return _yosida_map(H, n, shift, lambda j: f"slice {j}")
+
+
+def _yosida_map(H, n, shift, where):
+    """:func:`yosida_operator`; a map that overflows names ``where(j)``, ``j`` its first slice."""
     n = int(n)
     if n < 1:
         raise ArgumentError(f"regularization index must be a positive integer, got {n}")
     H = hermitize(H, context="H")
     shift = float(shift)
     w, Q = np.linalg.eigh(H + shift * np.eye(H.shape[-1]))
-    mapped = (w - shift) * n / (n + w)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        mapped = (w - shift) * n / (n + w)
+    bad = np.flatnonzero(~np.isfinite(mapped).all(axis=-1))
+    if bad.size:
+        raise NumericalError(
+            f"the Yosida map H_n with n = {n} overflows at {where(bad[0])}: "
+            "|H| is too large for this n")
     Hn = (Q * mapped[..., None, :]) @ Q.conj().swapaxes(-1, -2)
     return 0.5 * (Hn + Hn.conj().swapaxes(-1, -2))
 
@@ -94,7 +106,9 @@ class _YosidaFamily(TimeDependentHamiltonian):
     def stack(self, times, order=0):
         if order != 0:
             return super().stack(times, order)  # no derivatives are offered
-        return yosida_operator(self._base.stack(times), self._n, self.semibound.m + 1.0)
+        times = np.asarray(times, dtype=float)
+        return _yosida_map(self._base.stack(times), self._n, self.semibound.m + 1.0,
+                           lambda j: f"t = {times[j]}")
 
 
 def yosida_hamiltonian(tdh: TimeDependentHamiltonian, n) -> TimeDependentHamiltonian:

@@ -19,7 +19,13 @@ exist for a family ``H(t)`` with a fixed form domain:
 The grid is evaluated in the blocks of :func:`forms.blocks`, bounded in
 matrix entries and in points: each block is stacked and goes through batched
 LAPACK calls and products, which treat every slice exactly as a one-point
-call would, while the block bounds the temporaries.  Reports are sorted by time.
+call would, while the block bounds the temporaries.  The blocks are independent,
+so :func:`forms.map_blocks` runs them concurrently, one thread per usable CPU
+with the caller as one of them; LAPACK and the products release the GIL, and
+each block computes exactly what it would alone, so the results do not depend
+on the thread count.  The family's callables are never entered by two threads
+at once (see :class:`models.TimeDependentHamiltonian`).  Reports are sorted by
+time.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, GridError, NotPositiveDefiniteError, NumericalError
-from .forms import blocks, hermitian_spectral_norm, hermitize
+from .forms import block_threads, blocks, hermitian_spectral_norm, hermitize, map_blocks
 
 #: Machine scale used by the K2 "modulus is numerically zero" test.
 _EPS = float(np.finfo(float).eps)
@@ -195,8 +201,9 @@ def _sandwich(factor, D):
 
 
 def _over_blocks(tdh, grid, per_block):
-    """``per_block(times)`` on each block of ``grid``, its arrays concatenated in grid order."""
-    parts = [per_block(grid[block]) for block in blocks(grid.size, tdh.dim)]
+    """``per_block(times)`` on each block of ``grid``, the blocks run concurrently by
+    :func:`forms.map_blocks`, its arrays concatenated in grid order."""
+    parts = map_blocks(lambda block: per_block(grid[block]), blocks(grid.size, tdh.dim))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
@@ -295,7 +302,8 @@ def _sandwiched_stack(tdh, grid, order, t0=None, allow_fd=True):
         _sandwich(factor, _derivative_stack(tdh, times, order, allow_fd=allow_fd)),))[0]
 
 
-#: Pairs per batched eigensolve in the K2 branch and bound.
+#: Most pairs per batched eigensolve in the K2 branch and bound: each band's
+#: walk eigensolves one pair, then doubles the batch up to this size.
 _K2_CHUNK = 32
 
 
@@ -322,7 +330,9 @@ def _k2_band_maxima(W, grid, thresholds, counters=None):
     product, ``|W_i - W_j|_F^2 = |W_i|^2 + |W_j|^2 - 2 Re<W_i, W_j>``, then
     from the difference itself just before its eigensolve.  The bands are
     walked from the finest separation outward, carrying the maximum, since
-    each level set contains the finer ones.
+    each level set contains the finer ones.  A band's first batch is one pair,
+    its best bound, and each next batch doubles up to :data:`_K2_CHUNK`: the
+    first maxima usually prune the rest of the band.
     """
     if not np.all(np.isfinite(W)):
         raise NumericalError("K2 stack has non-finite entries")
@@ -352,8 +362,10 @@ def _k2_band_maxima(W, grid, thresholds, counters=None):
     for b in range(thresholds.size - 1, -1, -1):
         members = np.flatnonzero(band == b)
         members = members[np.argsort(-bound[members], kind="stable")]
-        for start in range(0, members.size, _K2_CHUNK):
-            chunk = members[start : start + _K2_CHUNK]
+        start, size = 0, 1
+        while start < members.size:
+            chunk = members[start : start + size]
+            start, size = start + size, min(2 * size, _K2_CHUNK)
             chunk = chunk[bound[chunk] > running]
             if chunk.size == 0:
                 break
@@ -510,9 +522,11 @@ def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9, allow_fd=True) -
     positive definite matrix on the full coefficient space.  The returned
     report always carries verdicts; nothing raises on a failed audit.
 
-    The grid is walked once.  ``counters`` has ``h_slices``, the slices of ``H``
+    The grid is walked once, its blocks run concurrently by
+    :func:`forms.map_blocks`.  ``counters`` has ``h_slices``, the slices of ``H``
     and its derivatives stacked (a finite-difference derivative counting as
-    one), and ``eigensolved_mats``, the matrices eigensolved.
+    one), ``eigensolved_mats``, the matrices eigensolved, and ``threads``, the
+    threads the walk ran on.
     """
     grid = _check_grid(tdh, grid)
     t_ref, scale = _reference(tdh, t0)
@@ -525,7 +539,8 @@ def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9, allow_fd=True) -
     c_norm, c_unit = _s1_constant(lo, hi), _s1_constant(lo_u, hi_u)
     s2_bound = float(s2_direct.max())
 
-    counters = {}
+    N = grid.size
+    counters = {"threads": block_threads(len(blocks(N, tdh.dim)))}
     moduli = check_K2(tdh, grid, order=k2_order, allow_fd=allow_fd, stack=W, counters=counters)
     mid = 0.5 * (grid[0] + grid[-1])
     k_mid = int(np.searchsorted(grid, mid))
@@ -546,9 +561,10 @@ def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9, allow_fd=True) -
     }
 
     # Local modulus between grid neighbours, for per-time diagnostics.
-    k2_local = np.concatenate([[0.0], hermitian_spectral_norm(W[1:] - W[:-1])])
+    neighbours = map_blocks(lambda block: hermitian_spectral_norm(W[1:][block] - W[:-1][block]),
+                            blocks(N - 1, tdh.dim))
+    k2_local = np.concatenate([[0.0], *neighbours])
 
-    N = grid.size
     # H(t0); H, dH/dt and for order 2 d2H/dt2 at each grid time; the midpoint
     # of the K2 reference norms when it is no grid time.
     counters["h_slices"] = 1 + N * (3 if k2_order == 2 else 2) + (not mid_is_node)

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from formevol import forms
@@ -12,3 +14,10 @@ def blocks_of_32(monkeypatch):
     reads the entry budget at call time, and no result depends on it.
     """
     return lambda dim: monkeypatch.setattr(forms, "BLOCK_ENTRIES", 32 * dim * dim)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``set(n)``: for this test, ``os.sched_getaffinity`` reports ``n`` usable CPUs,
+    so ``forms.map_blocks`` runs on ``n`` threads whatever the host has."""
+    return lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))

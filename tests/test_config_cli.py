@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import formevol
 from formevol import AffineHamiltonian, ConfigError, config, propagate, runs
 from formevol.cli import main
 from formevol.config import config_hash, default_config, parse_config, serialize_config
@@ -137,12 +140,14 @@ grid_points = 33
         run_record = json.loads((tmp_path / "run_record.json").read_text())
         # a constant family: every pair difference is zero, so no pair is eigensolved;
         # H(t0), then H and dH/dt at 33 times; 2 for the reference scale, 5 x 33
-        # per-time, 32 neighbour differences and 3 reference norms
+        # per-time, 32 neighbour differences and 3 reference norms; one block of
+        # 33 times and no Rayleigh check, so one thread
         assert run_record["counters"] == {
             "k2_pairs": 33 * 32 // 2,
             "k2_exact_pairs": 0,
             "h_slices": 1 + 2 * 33,
             "eigensolved_mats": 2 + 5 * 33 + 32 + 3,
+            "threads": 1,
         }
         assert "counters" not in summary
         for name in record.outputs:
@@ -471,6 +476,53 @@ class TestCli:
                 continue
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
+    def test_audit_pinned_to_one_cpu_writes_the_same_bytes(self, tmp_path, cpus):
+        # The child pins itself to one CPU before formevol loads, so its block
+        # maps run inline; this process runs them on two threads.
+        config_path = str(CONFIGS / "audit_circle.ini")
+        pinned, threaded = tmp_path / "pinned", tmp_path / "threaded"
+        script = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                  "from formevol.cli import main; sys.exit(main(sys.argv[1:]))")
+        src = str(Path(formevol.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", script, "audit", "--config", config_path,
+                        "--out", str(pinned)], env=env, check=True, capture_output=True)
+        cpus(2)
+        assert main(["audit", "--config", config_path, "--out", str(threaded)]) == 0
+        for out, threads in ((pinned, 1), (threaded, 2)):
+            record = json.loads((out / "run_record.json").read_text())
+            assert record["counters"]["threads"] == threads
+        names = sorted(os.listdir(pinned))
+        assert names == sorted(os.listdir(threaded))
+        for name in names:
+            if name != "run_record.json":  # the one artifact carrying timing
+                assert (pinned / name).read_bytes() == (threaded / name).read_bytes(), name
+
+    def test_overflowing_yosida_map_is_a_named_numerical_error(self, tmp_path, capsys):
+        # |H| reaches ~5e307 at K = 1, so (w - shift) * n overflows for n = 64.
+        cfg = self._write(tmp_path, """
+[model]
+kind = circle_delta
+K = 1
+alpha = sin
+alpha_amplitude = 1e308
+T = 1.0
+
+[time]
+steps = 16
+
+[propagator]
+method = yosida
+yosida_n = 64
+""")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["propagate", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "the Yosida map H_n with n = 64 overflows at t = " in err
+        assert not (tmp_path / "o").exists()
+
     def test_diverged_dyson_expansion_is_a_named_numerical_error(self, tmp_path, capsys):
         # configs/propagate_circle.ini with method = dyson, order = 4, at 64
         # steps instead of 512: dt * |H| ~ 25, so the truncated series blows up.
@@ -562,9 +614,10 @@ mode = 0
         solved = 2 + 5 * points + (points - 1) + 3 + counters["k2_exact_pairs"]
         assert counters["eigensolved_mats"] == solved
         if refine == 0:
-            assert counters == {
-                "h_slices": 515, "eigensolved_mats": 1770, "k2_pairs": 32896, "k2_exact_pairs": 224
-            }
+            # One thread per usable CPU, at most one per slice of the 34-slice Rayleigh check.
+            threads = min(len(os.sched_getaffinity(0)), 34)
+            assert counters == {"h_slices": 515, "eigensolved_mats": 1560, "k2_pairs": 32896,
+                                "k2_exact_pairs": 14, "threads": threads}
 
     ARITHMETIC = """
 [model]

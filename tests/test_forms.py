@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +19,7 @@ from formevol import (
     represent_form,
     semibound_of,
 )
-from formevol.forms import blocks, hermitian_spectral_norm, hermitize
+from formevol.forms import blocks, hermitian_spectral_norm, hermitize, map_blocks
 from formevol.models import CircleDeltaModel, alpha_profile
 
 from helpers import random_hermitian, random_unit_vector
@@ -243,3 +247,65 @@ class TestBlocks:
         assert blocks(100, 33)[0] == slice(0, 30)  # 2**15 // 33**2 entries
         assert blocks(1025, 3)[0] == slice(0, 256)  # the slice cap binds
         assert blocks(3, 200)[0] == slice(0, 1)  # at least one slice
+
+
+class TestMapBlocks:
+    def test_results_in_the_order_of_the_parts(self, cpus):
+        cpus(2)
+        parts = list(range(40))
+        assert map_blocks(lambda p: p * p, parts) == [p * p for p in parts]
+        assert map_blocks(lambda p: p, []) == []
+
+    def test_every_part_runs_once_under_frequent_switches(self, cpus):
+        cpus(8)  # more threads than this host's cores
+        calls, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = map_blocks(lambda p: calls.append(p) or np.full(3, p).sum(), range(2000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [3 * p for p in range(2000)]
+        assert sorted(calls) == list(range(2000))
+
+    def test_raises_the_earliest_failing_part(self, cpus):
+        cpus(2)
+        failed = []
+
+        def fn(part):
+            if part == 1:
+                time.sleep(0.2)
+            if part in (1, 2):
+                failed.append(part)
+                raise ValueError(f"part {part}")
+            return part
+
+        with pytest.raises(ValueError, match="part 1"):
+            map_blocks(fn, [1, 2, 3, 4])
+        # Part 2 failed first, while part 1 was still running; part 1's error wins.
+        assert failed == [2, 1]
+
+    def test_caller_errstate_reaches_the_helper_threads(self, cpus):
+        cpus(2)
+
+        def overflow(part):
+            time.sleep(0.02)  # long enough for the helper to take parts
+            try:
+                np.array([1e308]) * 10.0
+            except FloatingPointError:
+                return threading.get_ident()
+            return None
+
+        with np.errstate(over="raise"):
+            raised_in = map_blocks(overflow, range(8))
+        assert None not in raised_in
+        assert threading.get_ident() in raised_in and len(set(raised_in)) == 2
+
+    def test_one_cpu_starts_no_thread(self, cpus, monkeypatch):
+        cpus(1)
+
+        def start(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        caller = threading.get_ident()
+        assert map_blocks(lambda p: threading.get_ident(), range(5)) == [caller] * 5

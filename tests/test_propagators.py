@@ -74,6 +74,16 @@ class TestYosidaOperator:
         with pytest.raises(ArgumentError):
             yosida_operator(np.eye(2), 0, 1.0)
 
+    def test_overflowing_map_names_n_and_the_first_slice(self):
+        # (w - shift) * n overflows for w = 1e307 and n = 64, without a warning.
+        H = np.stack([np.eye(2), np.diag([1.0, 1e307]), np.diag([1e307, 1.0])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"Yosida map H_n with n = 64 overflows at slice 1"):
+                yosida_operator(H, 64, 1.0)
+        # With n = 8 the same stack maps without overflow, within n + shift.
+        assert np.max(np.abs(yosida_operator(H, 8, 1.0))) <= 9.0
+
     def test_plus_minus_error_matches_spectral_oracle_and_decreases(self):
         prof = alpha_profile("trigonometric", amplitude=1.0)
         tdh = circle_delta_model(8, prof, TWO_PI)

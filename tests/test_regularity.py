@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import tracemalloc
 from collections import Counter
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formevol import (
+    AffineHamiltonian,
     ArgumentError,
     GridError,
     NotPositiveDefiniteError,
@@ -649,3 +652,53 @@ class TestErrorPaths:
         message = "derivative unavailable and finite differences disabled"
         with pytest.raises(ArgumentError, match=message):
             check_K2(tdh, uniform_grid(0, 1, 9), order=order, allow_fd=False)
+
+
+def exclusive():
+    """``wrap(fn)``: ``fn`` that raises if entered while any function wrapped by
+    the same ``wrap`` is still running, as user code that is not thread-safe might."""
+    running = threading.Lock()
+
+    def wrap(fn):
+        def call(t):
+            if not running.acquire(blocking=False):
+                raise AssertionError("user code entered from two threads at once")
+            try:
+                time.sleep(1e-4)  # keeps the call open long enough for another thread
+                return fn(t)
+            finally:
+                running.release()
+        return call
+
+    return wrap
+
+
+class TestConcurrentBlocks:
+    """The blocks of an audit run on two threads; the family's callables never
+    run twice at once, and the report is the one-thread report bit for bit."""
+
+    def per_time_family(self):
+        wrap, B = exclusive(), random_hermitian(np.random.default_rng(4), 3, scale=0.3)
+        return TimeDependentHamiltonian(
+            3, wrap(lambda t: np.diag([1.0, 2.0, 3.0]) + np.sin(t) * B), (0.0, 1.0),
+            Semibound(1.0), derivative_fn=wrap(lambda t: np.cos(t) * B))
+
+    def affine_family(self):
+        wrap = exclusive()
+        return AffineHamiltonian(
+            np.diag([1.0, 2.0, 3.0]), [(np.ones((3, 3)), (wrap(np.sin), wrap(np.cos), None))],
+            (0.0, 1.0), Semibound(1.0))
+
+    @pytest.mark.parametrize("family", ["per_time_family", "affine_family"])
+    def test_user_code_is_called_serially(self, family, cpus, blocks_of_32):
+        blocks_of_32(3)
+        grid = uniform_grid(0.0, 1.0, 97)  # blocks of 32, 32, 32 and 1 times
+        reports = []
+        for n in (2, 1):
+            cpus(n)
+            reports.append(bridge_check(getattr(self, family)(), grid))
+        threaded, inline = reports
+        assert (threaded.counters["threads"], inline.counters["threads"]) == (2, 1)
+        for name, values in inline.per_t.items():
+            assert np.array_equal(threaded.per_t[name], values), name
+        assert threaded.to_dict() == inline.to_dict()
