@@ -14,10 +14,11 @@ Units: hbar = 1, 2 m_particle = 1, circle length ``2 pi``.
 Synthetic control families (constant, commuting diagonal, rotating frame)
 with closed-form propagators are provided for oracle testing.
 
+Every built-in family evaluates ``H`` on a whole array of times at once.
 The circle and the constant and commuting-diagonal families are affine
-(:class:`AffineHamiltonian`): fixed matrices with real coefficients in time.
-The coefficients and the profiles ``alpha`` take a whole array of times, so
-stacking ``H`` on a grid calls each of them once, not once per time.
+(:class:`AffineHamiltonian`): fixed matrices whose real coefficients, like
+the profiles ``alpha``, take arrays; the rotating frame stacks its rotations
+from one eigendecomposition.  Only user per-time callables loop over times.
 
 Model objects are immutable specifications.  A family calls its evaluation
 callables under its own lock, so they need not be thread-safe.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import partialmethod
+from functools import partial, partialmethod
 
 import numpy as np
 
@@ -164,82 +165,93 @@ def alpha_profile(kind, **params) -> AlphaProfile:
     return AlphaProfile(kind=kind, params=dict(params))
 
 
-class TimeDependentHamiltonian:
-    """A family ``t -> H(t)`` of Hermitian matrices on ``[t0, t1]``.
+def _per_time(fn, order, dim):
+    """The array callable of the per-time callable ``fn`` of derivative ``order``:
+    one call per time, each slice's shape checked, then the stack checked
+    Hermitian and symmetrized (errors name the first failing time)."""
+    name, shape = ("H", "dH/dt", "d2H/dt2")[order], (dim, dim)
 
-    ``semibound`` must be uniform: ``lambda_min(H(t)) >= -m`` for all ``t``
-    in the span.  :meth:`stack` evaluates ``H`` or an analytic derivative on
-    a time grid; calling the object, ``derivative`` and ``second_derivative``
-    are its one-time slices.  Here stacks call per-time callables; see
-    :class:`AffineHamiltonian` for families whose coefficients take arrays.
-
-    The evaluation callables must be pure.  They are user code, so stacks
-    call them under one lock per family: concurrent blocks of a grid never
-    enter them from two threads at once.
-    """
-
-    def __init__(
-        self,
-        dim,
-        matrix_fn,
-        t_span,
-        semibound,
-        derivative_fn=None,
-        second_derivative_fn=None,
-        label="",
-        source=None,
-    ):
-        t0, t1 = float(t_span[0]), float(t_span[1])
-        if not t1 > t0:
-            raise ArgumentError(f"empty time span [{t0}, {t1}]")
-        self.dim = int(dim)
-        self.t_span = (t0, t1)
-        self.semibound = semibound if isinstance(semibound, Semibound) else Semibound(float(semibound))
-        self.label = label
-        self.source = source
-        # By derivative order, what ``stack`` evaluates; None when not offered.
-        self._fns = (matrix_fn, derivative_fn, second_derivative_fn)
-        self._lock = threading.Lock()
-
-    def _offered(self, order):
-        if order not in (0, 1, 2):
-            raise ArgumentError(f"derivative order must be 0, 1 or 2, got {order}")
-        return self._fns[order]
-
-    def stack(self, times, order=0):
-        """``d^n H/dt^n``, ``n = order`` in 0..2, at each of ``times``, stacked ``(N, d, d)``.
-
-        Slices come from the per-time callable; the stack is checked Hermitian
-        slice by slice (errors name the first failing time) and symmetrized.
-        It is float64 when every slice is real and complex128 when any slice
-        is complex (see :func:`forms.hermitize`).  ``None`` when that
-        derivative was not supplied.
-        """
-        fn = self._offered(order)
-        if fn is None:
-            return None
-        name = ("H", "dH/dt", "d2H/dt2")[order]
-        times, shape = np.asarray(times, dtype=float), (self.dim, self.dim)
-        with self._lock:
-            slices = [np.asarray(fn(t)) for t in times]
+    def stack(times):
+        slices = [np.asarray(fn(t)) for t in times]
         for t, M in zip(times, slices):
             if M.shape != shape:
                 raise ArgumentError(f"{name}({t}) has shape {M.shape}, expected {shape}")
         out = np.array(slices) if slices else np.empty((0, *shape))
         return hermitize(out, rtol=1e-12, context=lambda j: f"{name}({times[j]})")
 
+    return stack
+
+
+class TimeDependentHamiltonian:
+    """A family ``t -> H(t)`` of Hermitian matrices on ``[t0, t1]``.
+
+    ``semibound`` must be uniform: ``lambda_min(H(t)) >= -m`` for all ``t``
+    in the span.  :meth:`stack` evaluates ``H`` or an analytic derivative on
+    a time grid; calling the object, ``derivative`` and ``second_derivative``
+    are its one-time slices.  Each order is one array callable, 1-d times to
+    the Hermitian stack (:meth:`from_stacks`); the constructor takes per-time
+    callables ``t -> (d, d)`` and adapts each by a loop over the times, with
+    a float64 stack when every slice is real, complex128 when any is complex.
+
+    The callables must be pure.  They are user code, so stacks call them
+    under one lock per family: concurrent blocks of a grid never enter them
+    from two threads at once.
+    """
+
+    def __init__(self, dim, matrix_fn, t_span, semibound, derivative_fn=None,
+                 second_derivative_fn=None, label="", source=None):
+        fns = (matrix_fn, derivative_fn, second_derivative_fn)
+        stacks = [None if fn is None else _per_time(fn, order, int(dim))
+                  for order, fn in enumerate(fns)]
+        self._define(dim, stacks, t_span, semibound, label, source)
+
+    @classmethod
+    def from_stacks(cls, dim, stacks, t_span, semibound, label="", source=None):
+        """The family whose order-``n`` stack is ``stacks[n](times)``, ``None`` when
+        that order is not offered.  Each callable takes the 1-d float array of
+        times and returns their ``(N, d, d)`` Hermitian stack."""
+        family = cls.__new__(cls)
+        family._define(dim, stacks, t_span, semibound, label, source)
+        return family
+
+    def _define(self, dim, stacks, t_span, semibound, label, source):
+        t0, t1 = float(t_span[0]), float(t_span[1])
+        if not t1 > t0:
+            raise ArgumentError(f"empty time span [{t0}, {t1}]")
+        self.dim = int(dim)
+        self.t_span = (t0, t1)
+        self.semibound = semibound if isinstance(semibound, Semibound) else Semibound(float(semibound))
+        self.label, self.source = label, source
+        # By derivative order, the array callable ``stack`` runs; None when not offered.
+        self._stacks = tuple(stacks)
+        self._lock = threading.Lock()
+
+    def stack(self, times, order=0):
+        """``d^n H/dt^n``, ``n = order`` in 0..2, at each of the 1-d ``times``, stacked
+        ``(N, d, d)`` in the family's dtype; ``None`` when that order is not offered."""
+        if order not in (0, 1, 2):
+            raise ArgumentError(f"derivative order must be 0, 1 or 2, got {order}")
+        fn = self._stacks[order]
+        if fn is None:
+            return None
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1:
+            raise ArgumentError(f"times must be a 1-d array, got shape {times.shape}")
+        with self._lock:
+            return fn(times)
+
     def __call__(self, t):
         return self.stack([t])[0]
 
     @property
     def has_derivative(self) -> bool:
-        return self._fns[1] is not None
+        return self._stacks[1] is not None
 
     def derivative(self, t):
-        return None if self._fns[1] is None else self.stack([t], 1)[0]
+        return None if self._stacks[1] is None else self.stack([t], 1)[0]
 
     def second_derivative(self, t):
-        return None if self._fns[2] is None else self.stack([t], 2)[0]
+        return None if self._stacks[2] is None else self.stack([t], 2)[0]
 
     def shifted(self, t):
         """The scale operator ``A(t) = H(t) + (m + 1) I`` at ``t``, or stacked over 1-d times."""
@@ -251,10 +263,8 @@ class TimeDependentHamiltonian:
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
-        return (
-            f"<TimeDependentHamiltonian{tag} dim={self.dim} "
-            f"span={self.t_span} m={self.semibound.m:.6g}>"
-        )
+        return (f"<TimeDependentHamiltonian{tag} dim={self.dim} "
+                f"span={self.t_span} m={self.semibound.m:.6g}>")
 
 
 class AffineHamiltonian(TimeDependentHamiltonian):
@@ -273,22 +283,17 @@ class AffineHamiltonian(TimeDependentHamiltonian):
         for r, B in enumerate(mats):
             if B.shape != H0.shape:
                 raise ArgumentError(f"B_{r} has shape {B.shape}, expected {H0.shape}")
-        super().__init__(H0.shape[0], None, t_span, semibound, label=label, source=source)
         self.H0, self.B = H0, mats
-        # By order, the coefficient callables; None when one of them is missing.
         by_order = [tuple(fns[order] for _, fns in terms) for order in range(3)]
-        self._fns = tuple(None if None in fns else fns for fns in by_order)
+        stacks = [None if None in coefficients else partial(self._combine, coefficients, order)
+                  for order, coefficients in enumerate(by_order)]
+        self._define(H0.shape[0], stacks, t_span, semibound, label, source)
 
-    def stack(self, times, order=0):
-        coefficients = self._offered(order)
-        if coefficients is None:
-            return None
-        times = np.asarray(times, dtype=float)
-        with self._lock:
-            values = [f(times) for f in coefficients]
+    def _combine(self, coefficients, order, times):
+        """The order-``order`` stack at ``times`` of the coefficient callables."""
         out = np.zeros((times.size, self.dim, self.dim), dtype=np.result_type(self.H0, *self.B))
-        for r, (f_t, B) in enumerate(zip(values, self.B)):
-            c = np.broadcast_to(np.asarray(f_t, dtype=float), times.shape)[:, None, None]
+        for r, (f, B) in enumerate(zip(coefficients, self.B)):
+            c = np.broadcast_to(np.asarray(f(times), dtype=float), times.shape)[:, None, None]
             if r == 0:
                 np.multiply(c, B, out=out)
             else:
@@ -464,10 +469,11 @@ class SyntheticModel:
 
 
 def _hermitian_group(G):
-    """``t -> exp(-i G t)`` for a Hermitian ``G``, from one eigendecomposition."""
+    """``t -> exp(-i G t)`` for a Hermitian ``G``, from one eigendecomposition;
+    a 1-d array of times gives the stack of the group at each of them."""
     w, V = np.linalg.eigh(G)
     Vh = V.conj().T
-    return lambda t: (V * np.exp(-1j * w * t)) @ Vh
+    return lambda t: (V * np.exp(-1j * w * np.expand_dims(t, -1))[..., None, :]) @ Vh
 
 
 def _random_hermitian(n, rng, scale=1.0):
@@ -535,18 +541,20 @@ def synthetic_family(kind, n, T, params=None) -> TimeDependentHamiltonian:
         model = SyntheticModel("rotating_frame", params)
         rotation = _hermitian_group(1j * Om)
 
-        def Hfun(t):
-            R = rotation(t)
-            return R @ H0 @ R.conj().T
+        def rotated(times):
+            R = rotation(times)
+            return R @ H0 @ R.conj().swapaxes(-1, -2)
 
-        def Hdot(t):
-            H = Hfun(t)
-            return Om @ H - H @ Om
+        def Hdot(times):
+            H = rotated(times)
+            return hermitize(Om @ H - H @ Om, rtol=1e-12, context=lambda j: f"dH/dt({times[j]})")
+
+        def Hfun(times):
+            return hermitize(rotated(times), rtol=1e-12, context=lambda j: f"H({times[j]})")
 
         m = max(0.0, -float(np.linalg.eigvalsh(H0)[0]))
-        return TimeDependentHamiltonian(
-            n, Hfun, (0.0, T), Semibound(m),
-            derivative_fn=Hdot, label="rotating_frame", source=model,
+        return TimeDependentHamiltonian.from_stacks(
+            n, (Hfun, Hdot, None), (0.0, T), Semibound(m), label="rotating_frame", source=model,
         )
 
     raise ArgumentError(f"unknown synthetic family kind {kind!r}")

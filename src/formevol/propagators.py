@@ -20,18 +20,19 @@ resolvent-regularized dynamics as ``n`` grows.
 
 Steps are evaluated in the blocks of :func:`forms.blocks`, bounded in matrix
 entries and in steps: each block's nodes are stacked by
-:meth:`TimeDependentHamiltonian.stack`, one node index for every step of the
-block at once, and exponentiated by batched eigensolves or, for Dyson,
-combined by a recursion over the nodes.  Only applying the steps is
-sequential.  One walker composes ``U[j+1] = E_j U[j]`` a block at a time
-and checks each row's unitarity: :func:`build_table` keeps the rows, and
-:func:`propagate` only the states ``U_j psi0`` and the largest defect (a
-Dyson one keeps its table, small wherever the expansion converges).  The
-convergence sweeps apply each step to a vector (:func:`final_state`).  The
-Yosida sweep (:func:`yosida_convergence_study`) carries the reference and
-every ``H_n`` together: ``H_n`` is a spectral function of ``H``, so one
-eigensolve of each block's ``H(mid)`` stack gives the steps of all its runs,
-which are applied to a stack of states.  Tables are immutable once built.
+:meth:`TimeDependentHamiltonian.stack` (for ``H_n``, the Yosida map of a stack
+of ``H``), one node index for every step of the block at once, and
+exponentiated by batched eigensolves or, for Dyson, combined by a recursion
+over the nodes.  Only applying the steps is sequential.  One walker composes
+``U[j+1] = E_j U[j]`` a block at a time and checks each row's unitarity:
+:func:`build_table` keeps the rows, and :func:`propagate` only the states
+``U_j psi0`` and the largest defect (a Dyson one keeps its table, small
+wherever the expansion converges).  The convergence sweeps apply each step
+to a vector (:func:`final_state`).  The Yosida sweep
+(:func:`yosida_convergence_study`) carries the reference and every ``H_n``
+together: ``H_n`` is a spectral function of ``H``, so one eigensolve of each
+block's ``H(mid)`` stack gives the steps of all its runs, which are applied
+to a stack of states.  Tables are immutable once built.
 """
 
 from __future__ import annotations
@@ -95,29 +96,21 @@ def _yosida_map(H, n, shift, where):
     return 0.5 * (Hn + Hn.conj().swapaxes(-1, -2))
 
 
-class _YosidaFamily(TimeDependentHamiltonian):
-    """``t -> H_n(t)``: its stacks are the Yosida map of the base family's stacks."""
-
-    def __init__(self, tdh, n):
-        super().__init__(tdh.dim, None, tdh.t_span, tdh.semibound,
-                         label=f"{tdh.label}|yosida(n={n})", source=tdh.source)
-        self._base, self._n = tdh, n
-
-    def stack(self, times, order=0):
-        if order != 0:
-            return super().stack(times, order)  # no derivatives are offered
-        times = np.asarray(times, dtype=float)
-        return _yosida_map(self._base.stack(times), self._n, self.semibound.m + 1.0,
-                           lambda j: f"t = {times[j]}")
-
-
 def yosida_hamiltonian(tdh: TimeDependentHamiltonian, n) -> TimeDependentHamiltonian:
-    """The family ``t -> H_n(t)``; keeps the span and semibound of ``tdh``.
+    """The family ``t -> H_n(t)``: its stacks are the Yosida map of the stacks
+    of ``tdh``, whose span and semibound it keeps; it offers no derivative.
 
     The spectral map is monotone and fixes values at and above ``-m`` toward
     zero, so the original semibound remains valid.
     """
-    return _YosidaFamily(tdh, n)
+    shift = tdh.semibound.m + 1.0
+
+    def stack(times):
+        return _yosida_map(tdh.stack(times), n, shift, lambda j: f"t = {times[j]}")
+
+    return TimeDependentHamiltonian.from_stacks(
+        tdh.dim, (stack, None, None), tdh.t_span, tdh.semibound,
+        label=f"{tdh.label}|yosida(n={n})", source=tdh.source)
 
 
 @dataclass

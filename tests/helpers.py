@@ -98,9 +98,9 @@ def reference_profile(profile, t, order):
 
 
 def reference_callables(tdh):
-    """``(H, dH/dt, d2H/dt2)`` per-time callables of a circle, ``constant`` or
-    ``commuting_diagonal`` family, in the family's dtype; ``None`` for a
-    derivative it does not offer."""
+    """``(H, dH/dt, d2H/dt2)`` per-time callables of a circle, ``constant``,
+    ``commuting_diagonal`` or ``rotating_frame`` family, in the family's dtype;
+    ``None`` for a derivative it does not offer."""
     model = tdh.source
     if isinstance(model, CircleDeltaModel):
         kinetic = np.diag(model.mode_numbers**2.0)
@@ -126,6 +126,22 @@ def reference_callables(tdh):
             lambda t: np.diag(rates),
             lambda t: np.zeros((n, n)),
         )
+    if model.kind == "rotating_frame":
+        # The library's rotation group, one time at a time: R(t) = V e^{-iwt} V*
+        # from the eigenpairs of i Om, and dH/dt = Om H - H Om.
+        H0, Om = model.params["matrix"], model.params["omega"]
+        w, V = np.linalg.eigh(1j * Om)
+        Vh = V.conj().T
+
+        def Hfun(t):
+            R = (V * np.exp(-1j * w * t)) @ Vh
+            return R @ H0 @ R.conj().T
+
+        def Hdot(t):
+            H = Hfun(t)
+            return Om @ H - H @ Om
+
+        return Hfun, Hdot, None
     raise ValueError(f"no reference callables for {tdh!r}")
 
 
@@ -152,10 +168,8 @@ def reference_rotating_propagator(tdh, s, t):
 
 
 def generic_twin(tdh):
-    """The same family on the generic per-time callable path of
-    ``TimeDependentHamiltonian``; a family already on it is returned as is."""
-    if type(tdh) is TimeDependentHamiltonian:
-        return tdh
+    """The same family on the per-time callable path of ``TimeDependentHamiltonian``:
+    its :func:`reference_callables` through the constructor's adapter."""
     fn, d1, d2 = reference_callables(tdh)
     return TimeDependentHamiltonian(
         tdh.dim, fn, tdh.t_span, tdh.semibound, derivative_fn=d1, second_derivative_fn=d2,

@@ -10,7 +10,19 @@ import numpy as np
 import pytest
 
 import formevol
-from formevol import AffineHamiltonian, ConfigError, config, propagate, runs
+from formevol import (
+    AffineHamiltonian,
+    ConfigError,
+    TimeDependentHamiltonian,
+    alpha_profile,
+    circle_delta_model,
+    config,
+    models,
+    propagate,
+    runs,
+    synthetic_family,
+    yosida_hamiltonian,
+)
 from formevol.cli import main
 from formevol.config import config_hash, default_config, parse_config, serialize_config
 from formevol.errors import ArgumentError
@@ -653,8 +665,46 @@ steps_list = 4,8
 
 
 class TestAffinePathArtifacts:
-    """The affine model form changes no artifact: every subcommand on a shipped
-    config writes the same bytes as with its model on the generic per-time path."""
+    """The array model forms change no artifact: every subcommand on a shipped
+    config, and the rotating frame on a small config, writes the same bytes as
+    with its model on the per-time path."""
+
+    ROTATING = """
+[model]
+kind = rotating_frame
+dim = 5
+seed = 3
+T = 1.0
+
+[time]
+steps = 64
+
+[audit]
+grid_points = 65
+rayleigh_samples = 50
+"""
+
+    def assert_same_bytes(self, tmp_path, monkeypatch, args, family, arithmetic):
+        args = args + ["--out"]
+        assert main(args + [str(tmp_path / "array")]) == 0
+        build = runs.build_model
+
+        def build_generic(cfg):
+            tdh = build(cfg)
+            assert isinstance(tdh, family)
+            return generic_twin(tdh)
+
+        monkeypatch.setattr(runs, "build_model", build_generic)
+        assert main(args + [str(tmp_path / "generic")]) == 0
+        names = sorted(os.listdir(tmp_path / "array"))
+        assert names == sorted(os.listdir(tmp_path / "generic"))
+        for name in names:
+            array, generic = (tmp_path / side / name for side in ("array", "generic"))
+            if name == "run_record.json":  # the one artifact carrying timing
+                records = [json.loads(path.read_text()) for path in (array, generic)]
+                assert [r["arithmetic"] for r in records] == [arithmetic, arithmetic]
+                continue
+            assert array.read_bytes() == generic.read_bytes(), name
 
     @pytest.mark.parametrize(
         "command, config",
@@ -666,23 +716,46 @@ class TestAffinePathArtifacts:
         ],
     )
     def test_same_bytes_as_the_generic_path(self, tmp_path, monkeypatch, command, config):
-        args = [command, "--config", str(CONFIGS / config), "--out"]
-        assert main(args + [str(tmp_path / "affine")]) == 0
-        build = runs.build_model
+        args = [command, "--config", str(CONFIGS / config)]
+        self.assert_same_bytes(tmp_path, monkeypatch, args, AffineHamiltonian, "float64")
 
-        def build_generic(cfg):
-            tdh = build(cfg)
-            assert isinstance(tdh, AffineHamiltonian)
-            return generic_twin(tdh)
+    @pytest.mark.parametrize("command", ["audit", "propagate"])
+    def test_rotating_frame_same_bytes_as_the_per_time_path(self, tmp_path, monkeypatch, command):
+        config = tmp_path / "rotating.ini"
+        config.write_text(self.ROTATING)
+        args = [command, "--config", str(config)]
+        self.assert_same_bytes(tmp_path, monkeypatch, args, TimeDependentHamiltonian, "complex128")
 
-        monkeypatch.setattr(runs, "build_model", build_generic)
-        assert main(args + [str(tmp_path / "generic")]) == 0
-        names = sorted(os.listdir(tmp_path / "affine"))
-        assert names == sorted(os.listdir(tmp_path / "generic"))
-        for name in names:
-            affine, generic = (tmp_path / side / name for side in ("affine", "generic"))
-            if name == "run_record.json":  # the one artifact carrying timing
-                records = [json.loads(path.read_text()) for path in (affine, generic)]
-                assert [r["arithmetic"] for r in records] == ["float64", "float64"]
-                continue
-            assert affine.read_bytes() == generic.read_bytes(), name
+
+class TestArrayContract:
+    """No built-in family evaluates ``H`` one time at a time: with the per-time
+    adapter refusing, every order of each family stacks and an audit runs."""
+
+    PROFILES = [
+        alpha_profile("constant", value=0.5),
+        alpha_profile("polynomial", coeffs=[0.5, -1.0, 0.3]),
+        alpha_profile("trigonometric", amplitude=-1.7, frequency=2.0, phase=0.4),
+        alpha_profile("kink", center=0.5, amplitude=-1.5, offset=0.2),
+        alpha_profile("rough_c0", amplitude=2.0, scale=1.0),
+        alpha_profile("table", times=[0.0, 0.5, 1.0], values=[0.0, 1.5, -0.5]),
+    ]
+
+    def test_built_in_families_never_reach_the_per_time_adapter(self, tmp_path, monkeypatch):
+        def refuse(fn, order, dim):
+            raise AssertionError("the per-time adapter was reached")
+
+        monkeypatch.setattr(models, "_per_time", refuse)
+        with pytest.raises(AssertionError, match="per-time adapter"):
+            TimeDependentHamiltonian(2, lambda t: np.eye(2), (0.0, 1.0), 0.0)
+        assert sorted(p.kind for p in self.PROFILES) == sorted(models.ALPHA_KINDS)
+        families = [circle_delta_model(2, profile, 1.0) for profile in self.PROFILES]
+        families += [synthetic_family(kind, 3, 1.0)
+                     for kind in ("constant", "commuting_diagonal", "rotating_frame")]
+        families.append(yosida_hamiltonian(families[2], 8))
+        grid = np.linspace(0.0, 1.0, 9)
+        for tdh in families:
+            for order in range(3):
+                stack = tdh.stack(grid, order)
+                assert stack is None or stack.shape == (grid.size, tdh.dim, tdh.dim)
+        args = ["audit", "--config", str(CONFIGS / "audit_circle.ini")]
+        assert main(args + ["--out", str(tmp_path)]) == 0

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from formevol import (
     reference_propagator,
     spectrum,
     synthetic_family,
+    yosida_hamiltonian,
 )
 
 from formevol.regularity import _derivative_stack, differentiate_form
@@ -254,6 +256,18 @@ class TestRotatingFrameEigh:
             # dH/dt = [Om, H]: its roundoff scales with |Om| |H|.
             assert np.max(np.abs(Hdot[j] - Hdot_ref)) <= 1e-13 * omega * scale, t
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=2, max_value=8),
+        st.lists(st.floats(min_value=-20.0, max_value=20.0, allow_nan=False),
+                 min_size=1, max_size=12),
+    )
+    def test_batched_stacks_equal_the_per_time_twin(self, seed, n, times):
+        """The rotations of all times at once equal them one time at a time, bit for bit."""
+        tdh = synthetic_family("rotating_frame", n, 2.0, {"seed": seed})
+        assert_stacks_match_callables(tdh, np.array(times, dtype=float))
+
     @pytest.mark.parametrize("n, params", FAMILIES)
     def test_exact_propagator_matches_three_expm(self, n, params):
         tdh = synthetic_family("rotating_frame", n, 2.0, params)
@@ -396,6 +410,29 @@ class TestStack:
             table.stack([0.2], 3)
 
 
+class TestStackTimes:
+    """Every family's one ``stack`` takes a 1-d array of times, and only that."""
+
+    FAMILIES = {
+        "circle": lambda: circle_delta_model(2, alpha_profile("trigonometric"), 1.0),
+        "rotating_frame": lambda: synthetic_family("rotating_frame", 3, 1.0, {"seed": 1}),
+        "yosida": lambda: yosida_hamiltonian(
+            circle_delta_model(2, alpha_profile("trigonometric"), 1.0), 8),
+        "per_time": lambda: TimeDependentHamiltonian(
+            2, lambda t: np.diag([1.0, 1.0 + t]), (0.0, 1.0), Semibound(0.0)),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_times_that_are_not_1d_are_refused(self, family):
+        tdh = self.FAMILIES[family]()
+        for times, shape in [(0.5, "()"), ([[0.1, 0.2]], "(1, 2)")]:
+            with pytest.raises(ArgumentError, match=re.escape(f"got shape {shape}")):
+                tdh.stack(times)
+        empty = tdh.stack([])
+        assert empty.shape == (0, tdh.dim, tdh.dim) and empty.dtype == tdh(0.5).dtype
+        assert tdh.stack([0.5]).shape == tdh(0.5)[None].shape == (1, tdh.dim, tdh.dim)
+
+
 #: Circle profiles of every kind with a derivative path: analytic to order 2,
 #: to order 1 only (kink, rough_c0) and none (table).
 AFFINE_PROFILES = {
@@ -408,7 +445,7 @@ AFFINE_PROFILES = {
 
 
 def assert_stacks_match_callables(tdh, grid):
-    """Orders 0-2: the affine stack equals the generic per-time path, or both are None."""
+    """Orders 0-2: the family's stack equals its per-time twin's, or both are None."""
     twin = generic_twin(tdh)
     assert type(twin) is TimeDependentHamiltonian
     for order, fn in enumerate(reference_callables(tdh)):

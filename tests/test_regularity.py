@@ -689,7 +689,14 @@ class TestConcurrentBlocks:
             np.diag([1.0, 2.0, 3.0]), [(np.ones((3, 3)), (wrap(np.sin), wrap(np.cos), None))],
             (0.0, 1.0), Semibound(1.0))
 
-    @pytest.mark.parametrize("family", ["per_time_family", "affine_family"])
+    def stacks_family(self):
+        wrap, B = exclusive(), random_hermitian(np.random.default_rng(4), 3, scale=0.3)
+        return TimeDependentHamiltonian.from_stacks(
+            3, (wrap(lambda t: np.diag([1.0, 2.0, 3.0]) + np.sin(t)[:, None, None] * B),
+                wrap(lambda t: np.cos(t)[:, None, None] * B), None),
+            (0.0, 1.0), Semibound(1.0))
+
+    @pytest.mark.parametrize("family", ["per_time_family", "affine_family", "stacks_family"])
     def test_user_code_is_called_serially(self, family, cpus, blocks_of_32):
         blocks_of_32(3)
         grid = uniform_grid(0.0, 1.0, 97)  # blocks of 32, 32, 32 and 1 times
