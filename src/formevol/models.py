@@ -33,7 +33,7 @@ from functools import partial, partialmethod
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, NumericalError
 from .forms import Semibound, blocks, hermitize
 from .scales import HilbertScale, build_scale
 
@@ -165,19 +165,22 @@ def alpha_profile(kind, **params) -> AlphaProfile:
     return AlphaProfile(kind=kind, params=dict(params))
 
 
+#: The name of each derivative order in messages.
+_ORDER_NAMES = ("H", "dH/dt", "d2H/dt2")
+
+
 def _per_time(fn, order, dim):
     """The array callable of the per-time callable ``fn`` of derivative ``order``:
     one call per time, each slice's shape checked, then the stack checked
     Hermitian and symmetrized (errors name the first failing time)."""
-    name, shape = ("H", "dH/dt", "d2H/dt2")[order], (dim, dim)
+    name, shape = _ORDER_NAMES[order], (dim, dim)
 
     def stack(times):
         slices = [np.asarray(fn(t)) for t in times]
         for t, M in zip(times, slices):
             if M.shape != shape:
                 raise ArgumentError(f"{name}({t}) has shape {M.shape}, expected {shape}")
-        out = np.array(slices) if slices else np.empty((0, *shape))
-        return hermitize(out, rtol=1e-12, context=lambda j: f"{name}({times[j]})")
+        return hermitize(np.array(slices), rtol=1e-12, context=lambda j: f"{name}({times[j]})")
 
     return stack
 
@@ -228,7 +231,12 @@ class TimeDependentHamiltonian:
 
     def stack(self, times, order=0):
         """``d^n H/dt^n``, ``n = order`` in 0..2, at each of the 1-d ``times``, stacked
-        ``(N, d, d)`` in the family's dtype; ``None`` when that order is not offered."""
+        ``(N, d, d)`` in the family's dtype; ``None`` when that order is not offered.
+
+        The callable's result is checked once: a shape other than ``(N, d, d)``
+        raises :class:`ArgumentError`, a value that is not finite
+        :class:`NumericalError` naming the first such time.  No times give the
+        stack at the span's start cut to none, so its dtype is the family's."""
         if order not in (0, 1, 2):
             raise ArgumentError(f"derivative order must be 0, 1 or 2, got {order}")
         fn = self._stacks[order]
@@ -237,8 +245,17 @@ class TimeDependentHamiltonian:
         times = np.asarray(times, dtype=float)
         if times.ndim != 1:
             raise ArgumentError(f"times must be a 1-d array, got shape {times.shape}")
+        evaluated = times if times.size else np.array(self.t_span[:1])
         with self._lock:
-            return fn(times)
+            out = fn(evaluated)
+        name, expected = _ORDER_NAMES[order], (evaluated.size, self.dim, self.dim)
+        if np.shape(out) != expected:
+            raise ArgumentError(f"the {name} stack (order {order}) of {evaluated.size} times "
+                                f"has shape {np.shape(out)}, expected {expected}")
+        if not np.isfinite(out).all():
+            first = np.argmin(np.isfinite(out).all(axis=(-2, -1)))
+            raise NumericalError(f"{name}({evaluated[first]}) is not finite")
+        return out if times.size else out[:0]
 
     def __call__(self, t):
         return self.stack([t])[0]

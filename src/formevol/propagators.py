@@ -31,8 +31,11 @@ wherever the expansion converges).  The convergence sweeps apply each step
 to a vector (:func:`final_state`).  The Yosida sweep
 (:func:`yosida_convergence_study`) carries the reference and every ``H_n``
 together: ``H_n`` is a spectral function of ``H``, so one eigensolve of each
-block's ``H(mid)`` stack gives the steps of all its runs, which are applied
-to a stack of states.  Tables are immutable once built.
+block's ``H(mid)`` stack and one product per step give the steps of all its
+runs, which are applied to a stack of states.  The study keeps the
+reference's final state (``YosidaStudy.reference``), bit for bit the magnus2
+:func:`final_state`, for a step sweep on the same grid to compare against.
+Tables are immutable once built.
 """
 
 from __future__ import annotations
@@ -365,6 +368,19 @@ def _steps(tdh, s, t, method, substeps, order, yosida_n, inner_scheme):
     raise ArgumentError(f"unknown propagation method {method!r}")
 
 
+def _solves_per_step(s, t, method, substeps, order, yosida_n):
+    """Matrices a step of :func:`_steps` eigensolves, inner scheme magnus2: one
+    exponential a magnus2 step, two a magnus4 step, the Yosida map and one
+    exponential a yosida step; a dyson step none, or with ``yosida_n`` one
+    Yosida map per quadrature node."""
+    if method != "dyson":
+        return {"magnus2": 1, "magnus4": 2, "yosida": 2}[method]
+    if yosida_n is None:
+        return 0
+    dt = abs(float(t) - float(s)) / int(substeps)
+    return sum({_node_count(dt, int(order), p) for p in range(1, int(order) + 1)})
+
+
 def _state(psi0, dim):
     """``psi0`` as a complex vector of dimension ``dim``; refuses any other shape and zero."""
     psi = np.array(psi0, dtype=complex)
@@ -612,11 +628,13 @@ def propagator_axioms(table: PropagatorTable, from_r: PropagatorTable = None,
 @dataclass
 class YosidaStudy:
     """Final-state errors along a sweep against a reference propagation; ``n_values``
-    holds the regularization indices, or the step counts of a step sweep."""
+    holds the regularization indices, or the step counts of a step sweep, and
+    ``reference`` the final state of the reference propagation."""
 
     n_values: np.ndarray
     err_h: np.ndarray
     err_plus: np.ndarray
+    reference: np.ndarray
 
     @classmethod
     def against(cls, ref, n_values, finals, scale):
@@ -624,7 +642,8 @@ class YosidaStudy:
         state ``ref``, in the ambient norm and in the plus norm of ``scale``."""
         diffs = [final - ref for final in finals]
         err_h = np.array([float(np.linalg.norm(diff)) for diff in diffs])
-        return cls(np.asarray(n_values), err_h, np.array([scale.norm_plus(d) for d in diffs]))
+        return cls(np.asarray(n_values), err_h, np.array([scale.norm_plus(d) for d in diffs]),
+                   ref)
 
     @property
     def ratios(self) -> np.ndarray:
@@ -655,7 +674,11 @@ def _sweep_steps(tdh, n_arr, times):
         w = w[:, None]
         with np.errstate(all="ignore"):  # non-finite steps are refused below
             mapped = w / (1.0 + (w + shift) / n_arr[:, None])
-            E = _spectral_exp(np.concatenate([w, mapped], axis=1), Q[:, None], dt[:, None])
+            phases = np.exp(-1j * dt[:, None, None] * np.concatenate([w, mapped], axis=1))
+            # _spectral_exp with the runs stacked as rows: one (R d, d) @ (d, d)
+            # product per step, not R products of (d, d).
+            QP = (Q[:, None] * phases[..., None, :]).reshape(len(Q), -1, Q.shape[-1])
+            E = (QP @ Q.conj().swapaxes(-1, -2)).reshape(phases.shape + Q.shape[-1:])
         bad = np.argwhere(~np.isfinite(E).all(axis=(-2, -1)))
         if bad.size:
             j, r = bad[0]
@@ -676,7 +699,10 @@ def yosida_convergence_study(tdh, n_list, psi0, s, t, substeps=1024) -> YosidaSt
     and every ``n`` (see :func:`_sweep_steps`), and the states of all runs
     advance as one stack.  ``err_h`` is the ambient-norm state error at the
     final time, ``err_plus`` the same in the plus norm of the scale at the
-    start of the span.
+    start of the span.  ``reference`` is the final state of ``H`` itself,
+    bit for bit ``final_state(tdh, psi0, s, t, "magnus2", substeps)``, so a
+    step sweep on the same grid can compare against it without propagating
+    it again.
     """
     n_arr = np.asarray(list(n_list), dtype=int)
     if n_arr.size == 0 or np.any(np.diff(n_arr) <= 0):

@@ -30,6 +30,7 @@ from .forms import block_threads, map_blocks
 from .models import alpha_profile, circle_delta_model, spectrum, synthetic_family
 from .propagators import (
     YosidaStudy,
+    _solves_per_step,
     final_state,
     propagate,
     weak_residual,
@@ -324,12 +325,17 @@ def run_propagation(cfg: ExperimentConfig, outdir, grid_refine=0):
     summary = {**report.to_dict(), "unitarity_defect": traj.unitarity_defect,
                "method": traj.method}
     artifacts = {"trajectory.csv": trajectory, "residuals.json": summary}
-    counters = {"propagation_steps": traj.times.size - 1}
+    n = traj.times.size - 1
+    per_step = _solves_per_step(s, t, prop.method, n, prop.order, prop.yosida_n)
+    # The steps', one unitarity defect a table row, and the scale's two.
+    counters = {"propagation_steps": n, "eigensolved_mats": n * per_step + (n + 1) + 2}
     return report, _finish(cfg, outdir, artifacts, series, t_start, tdh, counters)
 
 
 def run_convergence(cfg: ExperimentConfig, outdir):
-    """Sweeps over the regularization index and/or the step count."""
+    """Sweeps over the regularization index and/or the step count.  A magnus2
+    step sweep whose reference grid, ``4 * max(steps_list)`` steps, is the
+    Yosida sweep's ``time.steps`` compares against that sweep's reference."""
     t_start = _time.perf_counter()
     n_list = cfg.propagator.n_list
     steps_list = cfg.propagator.steps_list
@@ -341,7 +347,7 @@ def run_convergence(cfg: ExperimentConfig, outdir):
     psi0 = initial_state(cfg, tdh)
     s, t = _span(cfg)
     artifacts, series = {}, {}
-    steps = 0  # propagation steps applied, over both sweeps
+    steps = solved = 0  # propagation steps applied and matrices eigensolved, over both sweeps
 
     if n_list:
         study = yosida_convergence_study(
@@ -351,19 +357,29 @@ def run_convergence(cfg: ExperimentConfig, outdir):
         series["yosida_err_H"] = (study.n_values, study.err_h)
         series["yosida_err_plus"] = (study.n_values, study.err_plus)
         steps += cfg.time.steps * (len(n_list) + 1)
+        solved += cfg.time.steps + 2  # one a step for all runs, and the scale's two
 
     if steps_list:
         prop = cfg.propagator
         options = {"method": prop.method, "order": prop.order, "yosida_n": prop.yosida_n}
         ref_steps = 4 * max(steps_list)
-        ref = final_state(tdh, psi0, s, t, substeps=ref_steps, **options)
+        propagated = list(steps_list)
+        if n_list and prop.method == "magnus2" and ref_steps == cfg.time.steps:
+            # Row 0 of the Yosida sweep is this propagation, bit for bit.
+            ref = study.reference
+        else:
+            ref = final_state(tdh, psi0, s, t, substeps=ref_steps, **options)
+            propagated.append(ref_steps)
         finals = (final_state(tdh, psi0, s, t, substeps=N, **options) for N in steps_list)
-        steps += ref_steps + sum(steps_list)
+        steps += sum(propagated)
+        solved += sum(N * _solves_per_step(s, t, prop.method, N, prop.order, prop.yosida_n)
+                      for N in propagated) + 2
         sweep = YosidaStudy.against(ref, steps_list, finals, tdh.scale_at(tdh.t_span[0]))
         artifacts["convergence_steps.csv"] = sweep.columns("steps")
         series["steps_err_H"] = (sweep.n_values, sweep.err_h)
 
-    return _finish(cfg, outdir, artifacts, series, t_start, tdh, {"propagation_steps": steps})
+    counters = {"propagation_steps": steps, "eigensolved_mats": solved}
+    return _finish(cfg, outdir, artifacts, series, t_start, tdh, counters)
 
 
 def run_spectrum(cfg: ExperimentConfig, outdir, grid_refine=0):

@@ -27,7 +27,7 @@ from formevol.cli import main
 from formevol.config import config_hash, default_config, parse_config, serialize_config
 from formevol.errors import ArgumentError
 from formevol.models import spectrum
-from formevol.propagators import yosida_convergence_study
+from formevol.propagators import YosidaStudy, final_state, yosida_convergence_study
 from formevol.regularity import bridge_check, uniform_grid
 from formevol.runs import (
     build_model,
@@ -604,8 +604,9 @@ mode = 0
 
     @pytest.mark.parametrize(
         "command, config, steps",
-        # converge: (5 + 1) x 1,024 Yosida steps, 4 x 256 + 64 + 128 + 256 sweep steps.
-        [("converge", "converge_circle.ini", 7616), ("propagate", "propagate_circle.ini", 512)],
+        # converge: (5 + 1) x 1,024 Yosida steps and 64 + 128 + 256 sweep steps; the
+        # sweep's 4 x 256-step reference is the Yosida sweep's row 0, not propagated again.
+        [("converge", "converge_circle.ini", 6592), ("propagate", "propagate_circle.ini", 512)],
     )
     def test_run_record_counts_propagation_steps(self, tmp_path, command, config, steps):
         out = tmp_path / "out"
@@ -662,6 +663,115 @@ steps_list = 4,8
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         record = json.loads((tmp_path / "out" / "run_record.json").read_text())
         assert record["arithmetic"] == arithmetic
+
+
+class TestConvergeWork:
+    """What a run propagates and eigensolves, and what its run record counts."""
+
+    @staticmethod
+    def spy_final_state(monkeypatch):
+        """The ``substeps`` of each of the runners' calls to ``final_state``, in order."""
+        calls = []
+
+        def spy(*args, substeps, **kwargs):
+            calls.append(substeps)
+            return final_state(*args, substeps=substeps, **kwargs)
+
+        monkeypatch.setattr(runs, "final_state", spy)
+        return calls
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        """``(solved, built)``: the matrices each ``np.linalg`` eigensolve takes, and
+        those of building the model, which the run record does not count."""
+        solved, built = [], []
+        for name in ("eigh", "eigvalsh"):
+            def counted(M, *args, solver=getattr(np.linalg, name), **kwargs):
+                solved.append(math.prod(np.shape(M)[:-2]))
+                return solver(M, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        def build(cfg, build_model=runs.build_model):
+            before = sum(solved)
+            tdh = build_model(cfg)
+            built.append(sum(solved) - before)
+            return tdh
+
+        monkeypatch.setattr(runs, "build_model", build)
+        return solved, built
+
+    @pytest.mark.parametrize("edits, own_reference", [
+        ({}, False),  # the shipped config: 4 x 256 = 1,024 = time.steps
+        ({"steps = 1024": "steps = 512"}, True),
+        ({"steps_list": "method = magnus4\nsteps_list"}, True),
+        ({"n_list = 4,8,16,32,64": "n_list ="}, True),
+    ])
+    def test_the_step_sweep_propagates_its_reference_off_the_shared_grid(
+            self, tmp_path, monkeypatch, edits, own_reference):
+        text = (CONFIGS / "converge_circle.ini").read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "config.ini"
+        path.write_text(text)
+        calls = self.spy_final_state(monkeypatch)
+        assert main(["converge", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert calls == [1024] * own_reference + [64, 128, 256]
+
+    def test_the_shared_reference_gives_the_same_bytes(self, tmp_path):
+        cfg = parse_config((CONFIGS / "converge_circle.ini").read_text())
+        run_convergence(cfg, str(tmp_path / "out"))
+        tdh = build_model(cfg)
+        psi0 = initial_state(cfg, tdh)
+        T, steps_list = cfg.model.T, cfg.propagator.steps_list
+        ref = final_state(tdh, psi0, 0.0, T, substeps=4 * max(steps_list))
+        finals = [final_state(tdh, psi0, 0.0, T, substeps=N) for N in steps_list]
+        sweep = YosidaStudy.against(ref, steps_list, finals, tdh.scale_at(tdh.t_span[0]))
+        write_csv(tmp_path / "expected.csv", sweep.columns("steps"))
+        expected = (tmp_path / "expected.csv").read_bytes()
+        assert (tmp_path / "out" / "convergence_steps.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("command, config, expected", [
+        # 1,024 Yosida steps, one eigensolve each for all runs, and 64 + 128 + 256
+        # sweep steps; two scales of two eigensolves each.
+        ("converge", "converge_circle.ini", 1476),
+        # 512 steps, 513 unitarity defects and the scale's two.
+        ("propagate", "propagate_circle.ini", 1027),
+    ])
+    def test_run_record_counts_the_matrices_eigensolved(self, tmp_path, monkeypatch, command,
+                                                        config, expected):
+        solved, built = self.count_solves(monkeypatch)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(CONFIGS / config), "--out", str(out)]) == 0
+        counters = json.loads((out / "run_record.json").read_text())["counters"]
+        assert counters["eigensolved_mats"] == sum(solved) - sum(built) == expected
+
+    MODELS = {
+        "circle": "kind = circle_delta\nK = 1\nalpha = sin\nalpha_amplitude = 2.0",
+        "rotating_frame": "kind = rotating_frame\ndim = 3\nseed = 4",
+    }
+
+    @pytest.mark.parametrize("options", [
+        "method = magnus2", "method = magnus4", "method = magnus2\nsubsteps = 3",
+        "method = yosida\nyosida_n = 8", "method = dyson\norder = 2",
+        "method = dyson\norder = 3\nyosida_n = 8", "method = dyson\norder = 4\nyosida_n = 8",
+    ])
+    @pytest.mark.parametrize("steps", [32, 128])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("command", ["converge", "propagate"])
+    def test_eigensolve_counter_matches_the_solves(self, tmp_path, monkeypatch, command, model,
+                                                   steps, options):
+        # steps = 128 puts the step sweep's reference on the Yosida sweep's grid.
+        text = (f"[model]\n{self.MODELS[model]}\nT = 1.0\n\n[time]\nsteps = {steps}\n\n"
+                f"[propagator]\n{options}\nn_list = 4,8\nsteps_list = 16,32\n")
+        path = tmp_path / "config.ini"
+        path.write_text(text)
+        solved, built = self.count_solves(monkeypatch)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        counters = json.loads((out / "run_record.json").read_text())["counters"]
+        assert counters["eigensolved_mats"] == sum(solved) - sum(built)
 
 
 class TestAffinePathArtifacts:

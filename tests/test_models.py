@@ -13,6 +13,7 @@ from formevol import (
     ArgumentError,
     CircleDeltaModel,
     NotHermitianError,
+    NumericalError,
     Semibound,
     TimeDependentHamiltonian,
     alpha_profile,
@@ -431,6 +432,64 @@ class TestStackTimes:
         empty = tdh.stack([])
         assert empty.shape == (0, tdh.dim, tdh.dim) and empty.dtype == tdh(0.5).dtype
         assert tdh.stack([0.5]).shape == tdh(0.5)[None].shape == (1, tdh.dim, tdh.dim)
+
+
+class TestStackChecks:
+    """``stack`` checks what an array callable returns, once per call."""
+
+    @staticmethod
+    def family(fn, order=0, dim=3):
+        """A family offering only order ``order``, stacked by ``fn``."""
+        stacks = [None, None, None]
+        stacks[order] = fn
+        return TimeDependentHamiltonian.from_stacks(dim, stacks, (0.0, 1.0), Semibound(0.0))
+
+    @pytest.mark.parametrize("order, name", [(0, "H"), (1, "dH/dt"), (2, "d2H/dt2")])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (3, 3, 1)])
+    def test_a_stack_of_the_wrong_shape_is_refused(self, order, name, shape):
+        tdh = self.family(lambda t: np.zeros((t.size, *shape)), order)
+        for times in ([0.1, 0.2], []):  # no times: checked on the stack at the span's start
+            N = max(len(times), 1)
+            message = (f"the {name} stack (order {order}) of {N} times has shape "
+                       f"{(N, *shape)}, expected {(N, 3, 3)}")
+            with pytest.raises(ArgumentError, match=re.escape(message)):
+                tdh.stack(times, order)
+
+    def test_a_stack_of_the_wrong_length_is_refused(self):
+        tdh = self.family(lambda t: np.zeros((3, 3, 3)))
+        with pytest.raises(ArgumentError, match=re.escape("has shape (3, 3, 3), expected (2, 3, 3)")):
+            tdh.stack([0.1, 0.2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("order, name", [(0, "H"), (1, "dH/dt")])
+    def test_a_stack_that_is_not_finite_names_the_first_bad_time(self, bad, order, name):
+        def fn(times):
+            out = np.zeros((times.size, 3, 3), dtype=np.result_type(bad, float))
+            out[times > 0.25, 2, 1] = bad
+            return out
+
+        tdh = self.family(fn, order)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=re.escape(f"{name}(0.3) is not finite")):
+                tdh.stack([0.1, 0.2, 0.3, 0.4], order)
+            assert np.array_equal(tdh.stack([0.1, 0.2], order), np.zeros((2, 3, 3)))
+
+    def test_a_per_time_family_that_is_not_finite_is_refused(self):
+        tdh = TimeDependentHamiltonian(
+            2, lambda t: np.diag([1.0, np.nan if t > 0.5 else 0.0]), (0.0, 1.0), Semibound(0.0))
+        with pytest.raises(NumericalError, match=re.escape("H(0.75) is not finite")):
+            tdh.stack([0.25, 0.75, 1.0])
+
+    @pytest.mark.parametrize("slice_", [
+        np.array([[1.0, 1j], [-1j, 2.0]]),  # complex
+        np.diag([1.0, 2.0]),  # real
+    ])
+    def test_an_empty_per_time_stack_has_the_dtype_of_a_full_one(self, slice_):
+        tdh = TimeDependentHamiltonian(2, lambda t: slice_, (0.0, 1.0), Semibound(0.0))
+        empty, full = tdh.stack([]), tdh.stack([0.5])
+        assert empty.shape == (0, 2, 2)
+        assert empty.dtype == full.dtype == np.result_type(slice_, float)
 
 
 #: Circle profiles of every kind with a derivative path: analytic to order 2,

@@ -27,7 +27,7 @@ from formevol import (
     yosida_hamiltonian,
     yosida_operator,
 )
-from formevol.propagators import YosidaStudy, _ordered_degrees
+from formevol.propagators import YosidaStudy, _ordered_degrees, _spectral_exp, _sweep_steps
 
 from helpers import (
     block_size,
@@ -799,6 +799,48 @@ class TestYosidaSweep:
                     expected = final_state(tdh, psi0, s, t, method="yosida", yosida_n=n,
                                            substeps=substeps)
                     assert np.max(np.abs(final - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_row_zero_is_the_magnus2_final_state_bit_for_bit(self, family, sweep_finals,
+                                                              blocks_of_32):
+        # A step sweep on the same grid compares against this row instead of
+        # propagating it again (runs.run_convergence).
+        tdh = FAMILIES[family]()
+        blocks_of_32(tdh.dim)
+        psi0 = random_unit_vector(np.random.default_rng(12), tdh.dim)
+        t1 = tdh.t_span[1]
+        for s, t in ((0.0, t1), (t1, 0.3)):
+            for substeps in edge_substeps(tdh):
+                ref, _ = sweep_finals(tdh, [2, 16], psi0, s, t, substeps=substeps)
+                expected = final_state(tdh, psi0, s, t, method="magnus2", substeps=substeps)
+                assert np.array_equal(ref, expected)
+
+    @pytest.mark.parametrize("n_list", [[4], [3, 9], [2, 4, 8, 16, 32, 64, 128]])
+    @pytest.mark.parametrize("family", ["sin", "rotating_frame"])
+    def test_step_matrices_are_each_runs_spectral_exp_bit_for_bit(self, family, n_list,
+                                                                   blocks_of_32):
+        # The runs share one product per step; each run's rows must round as
+        # its own (d, d) product would.
+        tdh = FAMILIES[family]()
+        blocks_of_32(tdh.dim)
+        n_arr = np.array(n_list)
+        shift = tdh.semibound.m + 1.0
+        times = np.linspace(*tdh.t_span, 2 * block_size(tdh.dim) + 2)
+        for block, E in _sweep_steps(tdh, n_arr, times):
+            a, b = times[:-1][block], times[1:][block]
+            w, Q = np.linalg.eigh(tdh.stack(0.5 * (a + b)))
+            assert E.shape == (len(w), n_arr.size + 1, tdh.dim, tdh.dim)
+            assert np.array_equal(E[:, 0], _spectral_exp(w, Q, b - a))
+            for r, n in enumerate(n_list, start=1):
+                mapped = w / (1.0 + (w + shift) / n)
+                assert np.array_equal(E[:, r], _spectral_exp(mapped, Q, b - a))
+
+    def test_the_study_keeps_its_reference(self):
+        tdh = FAMILIES["sin"]()
+        psi0 = np.eye(tdh.dim, dtype=complex)[1]
+        study = yosida_convergence_study(tdh, [4, 8], psi0, 0.0, 1.0, substeps=40)
+        assert np.array_equal(study.reference,
+                              final_state(tdh, psi0, 0.0, 1.0, method="magnus2", substeps=40))
 
     @pytest.mark.parametrize("n_list", [[4], [2, 4, 8, 16, 32, 64, 128]])
     def test_one_eigensolve_per_block_for_every_n(self, n_list, monkeypatch, blocks_of_32):
