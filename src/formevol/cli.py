@@ -91,10 +91,6 @@ def main(argv=None) -> int:
         else:
             record = run_spectrum(cfg, args.out, grid_refine=args.grid_refine)
             print("spectrum scan done")
-    except ConfigError as exc:
-        for problem in exc.errors:
-            print(f"config error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ArgumentError, GridError, NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -1,7 +1,9 @@
 """Experiment configuration: a small sectioned key/value format.
 
 Files use INI syntax (``[section]`` headers, ``key = value`` lines, ``#``
-comments).  Every key is typed and validated; unknown sections or keys are
+comments).  Every key is typed and validated, and every rule about values,
+single-key or across keys, lives here: a config either parses or is refused
+naming its key, before any model is built.  Unknown sections or keys are
 hard errors, and validation collects *all* problems before reporting.
 Parsing and serialization round-trip exactly, and serialization writes every
 key including defaulted ones, so the effective config stored next to a run's
@@ -46,20 +48,6 @@ def _parse_str(s):
     return s.strip()
 
 
-def _parse_float_list(s):
-    s = s.strip()
-    if not s:
-        return ()
-    return tuple(_parse_float(x) for x in s.split(","))
-
-
-def _parse_int_list(s):
-    s = s.strip()
-    if not s:
-        return ()
-    return tuple(int(x, 10) for x in s.split(","))
-
-
 def _parse_complex(s):
     value = complex(s)
     if not cmath.isfinite(value):
@@ -67,21 +55,22 @@ def _parse_complex(s):
     return value
 
 
-def _parse_complex_list(s):
-    s = s.strip()
-    if not s:
-        return ()
-    return tuple(_parse_complex(x) for x in s.split(","))
+def _list_of(parse):
+    """Parser of a comma-separated list of ``parse`` values; blank is empty."""
+    def parse_list(s):
+        s = s.strip()
+        return tuple(parse(x) for x in s.split(",")) if s else ()
+
+    return parse_list
 
 
-def _parse_opt_float(s):
-    s = s.strip()
-    return None if not s else _parse_float(s)
+def _optional(parse):
+    """Parser of a ``parse`` value that may be left blank, giving ``None``."""
+    def parse_optional(s):
+        s = s.strip()
+        return parse(s) if s else None
 
-
-def _parse_opt_int(s):
-    s = s.strip()
-    return None if not s else int(s, 10)
+    return parse_optional
 
 
 def _fmt(value):
@@ -98,10 +87,13 @@ def _fmt(value):
     return str(value)
 
 
-def _positive(name):
+def _positive(name, least=None):
+    """Refuses values <= 0 and, when ``least`` is given, values below it."""
     def check(v):
         if v is not None and not v > 0:
             return f"{name} must be positive"
+        if v is not None and least is not None and v < least:
+            return f"{name} must be >= {least}"
         return None
 
     return check
@@ -111,6 +103,18 @@ def _nonnegative(name):
     def check(v):
         if v is not None and v < 0:
             return f"{name} must be >= 0"
+        return None
+
+    return check
+
+
+def _sweep(name):
+    """Refuses a list with an entry below 1 or not strictly increasing."""
+    def check(v):
+        if any(n < 1 for n in v):
+            return f"{name} entries must be >= 1"
+        if any(b <= a for a, b in zip(v, v[1:])):
+            return f"{name} must be strictly increasing"
         return None
 
     return check
@@ -142,29 +146,29 @@ SCHEMA = {
         "alpha_phase": (_parse_float, 0.0, None),
         "alpha_offset": (_parse_float, 0.0, None),
         "alpha_value": (_parse_float, 1.0, None),
-        "alpha_center": (_parse_opt_float, None, None),
+        "alpha_center": (_optional(_parse_float), None, None),
         "alpha_scale": (_parse_float, 1.0, _positive("model.alpha_scale")),
-        "alpha_coeffs": (_parse_float_list, (1.0,), None),
-        "alpha_times": (_parse_float_list, (), None),
-        "alpha_values": (_parse_float_list, (), None),
-        "dim": (_parse_int, 4, _positive("model.dim")),
+        "alpha_coeffs": (_list_of(_parse_float), (1.0,), None),
+        "alpha_times": (_list_of(_parse_float), (), None),
+        "alpha_values": (_list_of(_parse_float), (), None),
+        "dim": (_parse_int, 4, _positive("model.dim", least=2)),
         "seed": (_parse_int, 0, _nonnegative("model.seed")),
     },
     "time": {
         "start": (_parse_float, 0.0, None),
-        "stop": (_parse_opt_float, None, None),
-        "steps": (_parse_int, 512, _positive("time.steps")),
+        "stop": (_optional(_parse_float), None, None),
+        "steps": (_parse_int, 512, _positive("time.steps", least=2)),
     },
     "propagator": {
         "method": (_parse_str, "magnus2", _choice("propagator.method", METHODS)),
         "order": (_parse_int, 2, _choice("propagator.order", (1, 2, 3, 4))),
         "substeps": (_parse_int, 1, _positive("propagator.substeps")),
-        "yosida_n": (_parse_opt_int, None, _positive("propagator.yosida_n")),
-        "n_list": (_parse_int_list, (4, 8, 16, 32, 64), None),
-        "steps_list": (_parse_int_list, (), None),
+        "yosida_n": (_optional(_parse_int), None, _positive("propagator.yosida_n")),
+        "n_list": (_list_of(_parse_int), (4, 8, 16, 32, 64), _sweep("propagator.n_list")),
+        "steps_list": (_list_of(_parse_int), (), _sweep("propagator.steps_list")),
     },
     "audit": {
-        "grid_points": (_parse_int, 257, _positive("audit.grid_points")),
+        "grid_points": (_parse_int, 257, _positive("audit.grid_points", least=8)),
         "t0": (_parse_float, 0.0, None),
         "k2_order": (_parse_int, 1, _choice("audit.k2_order", (0, 1, 2))),
         "k2_slope_min": (_parse_float, 0.9, None),
@@ -173,7 +177,7 @@ SCHEMA = {
     },
     "initial": {
         "mode": (_parse_int, 0, None),
-        "coefficients": (_parse_complex_list, (), None),
+        "coefficients": (_list_of(_parse_complex), (), None),
     },
     "output": {
         "directory": (_parse_str, "", None),
@@ -226,11 +230,27 @@ def _cross_validate(sections, errors):
             )
         elif any(b <= a for a, b in zip(ts, ts[1:])):
             errors.append("model.alpha_times must be strictly increasing")
-    if model["kind"] == "circle_delta" and model["K"] is not None and model["K"] < 1:
-        errors.append("model.K must be >= 1 for the circle model")
+    if model["alpha"] == "polynomial" and not model["alpha_coeffs"]:
+        errors.append("model.alpha_coeffs needs at least one entry when model.alpha = polynomial")
     prop = dict(sections["propagator"].values)
     if prop["method"] == "yosida" and prop["yosida_n"] is None:
         errors.append("propagator.yosida_n is required when propagator.method = yosida")
+    if not prop["n_list"] and not prop["steps_list"]:
+        errors.append("propagator.n_list and propagator.steps_list cannot both be empty")
+    init = dict(sections["initial"].values)
+    circle = model["kind"] == "circle_delta"
+    dim = 2 * model["K"] + 1 if circle else model["dim"]
+    if init["coefficients"]:
+        if len(init["coefficients"]) != dim:
+            errors.append(f"initial.coefficients must have length {dim}, "
+                          f"got {len(init['coefficients'])}")
+        elif not sum(c.real * c.real + c.imag * c.imag for c in init["coefficients"]) > 0:
+            # Squared, as the norm initial_state divides by: entries below ~1e-162 vanish.
+            errors.append("initial.coefficients must have a nonzero norm")
+    elif circle and abs(init["mode"]) > model["K"]:
+        errors.append(f"initial.mode must satisfy |mode| <= K = {model['K']}")
+    elif not circle and not 0 <= init["mode"] < dim:
+        errors.append(f"initial.mode must be in [0, {dim})")
 
 
 def parse_config(text) -> ExperimentConfig:

@@ -65,7 +65,10 @@ BLOCK_ENTRIES = 2**15
 #: Slices per block at most, which binds for d <= 11.  Without it a block at
 #: d = 3 holds 3,640 slices and each temporary a few hundred kilobytes, which
 #: glibc's malloc returns to the kernel and faults in again for the next
-#: block: ~1,200 page faults per perfbench ``converge`` job, ~1 with the cap.
+#: block.  The cap does not remove all of them: a ``converge`` job on
+#: ``configs/converge_circle.ini`` still takes ~317 minor faults (getrusage,
+#: one BLAS thread), as its ``(256, 6, 3, 3)`` complex Yosida sweep stacks are
+#: 221 KB each, above glibc's default 128 KB mmap threshold.
 BLOCK_SLICES = 256
 
 

@@ -25,7 +25,7 @@ from formevol import (
 )
 from formevol.cli import main
 from formevol.config import config_hash, default_config, parse_config, serialize_config
-from formevol.errors import ArgumentError
+from formevol.errors import ArgumentError, NumericalError
 from formevol.models import spectrum
 from formevol.propagators import YosidaStudy, final_state, yosida_convergence_study
 from formevol.regularity import bridge_check, uniform_grid
@@ -46,11 +46,10 @@ CONFIGS = Path(__file__).parents[1] / "configs"
 
 #: Every key of the schema whose value is, or holds, a float or complex number.
 FLOAT_KEYS = [
-    f"{section}.{key}"
-    for section, keys in config.SCHEMA.items()
-    for key, (parser, _, _) in keys.items()
-    if parser in (config._parse_float, config._parse_opt_float,
-                  config._parse_float_list, config._parse_complex_list)
+    "model.T", "model.alpha_amplitude", "model.alpha_frequency", "model.alpha_phase",
+    "model.alpha_offset", "model.alpha_value", "model.alpha_center", "model.alpha_scale",
+    "model.alpha_coeffs", "model.alpha_times", "model.alpha_values",
+    "time.start", "time.stop", "audit.t0", "audit.k2_slope_min", "initial.coefficients",
 ]
 
 MINIMAL = """
@@ -129,6 +128,197 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config("[propagator]\nmethod = yosida\n")
         assert any("yosida_n" in e for e in err.value.errors)
+
+
+#: Refused values of every key that has a validator, ``{section.key: [raw, ...]}``.
+REFUSED = {
+    "model.kind": ["sphere"],
+    "model.K": ["0", "-2"],
+    "model.T": ["0", "-1.5"],
+    "model.alpha": ["cos"],
+    "model.alpha_scale": ["0"],
+    "model.dim": ["0", "1"],
+    "model.seed": ["-1"],
+    "time.steps": ["0", "1"],
+    "propagator.method": ["euler"],
+    "propagator.order": ["5"],
+    "propagator.substeps": ["0"],
+    "propagator.yosida_n": ["0"],
+    "propagator.n_list": ["0,4", "-1", "8,4", "4,4"],
+    "propagator.steps_list": ["-64,128", "64,64"],
+    "audit.grid_points": ["0", "5", "7"],
+    "audit.k2_order": ["3"],
+    "audit.rayleigh_samples": ["-1"],
+    "audit.seed": ["-1"],
+}
+
+
+def _cli(tmp_path, command, text):
+    """``(exit code, whether --out was created)`` of one CLI run of ``text``."""
+    path = tmp_path / "config.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    code = main([command, "--config", str(path), "--out", str(out)])
+    return code, out.exists()
+
+
+class TestConfigRules:
+    """Every rule about config values is checked at parse time, naming its key."""
+
+    def test_the_table_covers_every_validated_key(self):
+        validated = {f"{section}.{key}" for section, keys in config.SCHEMA.items()
+                     for key, (_, _, validator) in keys.items() if validator is not None}
+        assert set(REFUSED) == validated
+
+    @pytest.mark.parametrize("name, raw", [(n, r) for n, raws in REFUSED.items() for r in raws])
+    def test_every_validator_names_its_key(self, name, raw):
+        section, key = name.split(".")
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[{section}]\n{key} = {raw}\n")
+        [problem] = err.value.errors
+        assert problem.startswith(f"{name} ") and "cannot parse" not in problem
+
+    @pytest.mark.parametrize("text, message", [
+        ("[time]\nstart = 1.0\nstop = 1.0\n", "time.stop must exceed time.start"),
+        ("[time]\nstart = -0.5\n", "time.start must be >= 0"),
+        ("[model]\nT = 1.0\n[time]\nstop = 1.5\n", "time.stop cannot exceed model.T"),
+        ("[model]\nT = 1.0\n[audit]\nt0 = 1.5\n", "audit.t0 must lie in [0, model.T]"),
+        ("[audit]\nt0 = -0.1\n", "audit.t0 must lie in [0, model.T]"),
+        ("[model]\nalpha = table\nalpha_times = 0,1,2\nalpha_values = 1,2\n",
+         "model.alpha_times and model.alpha_values must have equal length >= 2"),
+        ("[model]\nalpha = table\nalpha_times = 0\nalpha_values = 1\n",
+         "model.alpha_times and model.alpha_values must have equal length >= 2"),
+        ("[model]\nalpha = table\nalpha_times = 0,2,1\nalpha_values = 1,2,3\n",
+         "model.alpha_times must be strictly increasing"),
+        ("[model]\nalpha = polynomial\nalpha_coeffs =\n",
+         "model.alpha_coeffs needs at least one entry when model.alpha = polynomial"),
+        ("[propagator]\nn_list =\nsteps_list =\n",
+         "propagator.n_list and propagator.steps_list cannot both be empty"),
+        ("[model]\nK = 1\n[initial]\nmode = 2\n", "initial.mode must satisfy |mode| <= K = 1"),
+        ("[model]\nK = 1\n[initial]\nmode = -2\n", "initial.mode must satisfy |mode| <= K = 1"),
+        ("[model]\nkind = constant\ndim = 3\n[initial]\nmode = 3\n",
+         "initial.mode must be in [0, 3)"),
+        ("[model]\nkind = rotating_frame\n[initial]\nmode = -1\n",
+         "initial.mode must be in [0, 4)"),
+        ("[model]\nK = 1\n[initial]\ncoefficients = 1,0\n",
+         "initial.coefficients must have length 3, got 2"),
+        ("[model]\nkind = commuting_diagonal\ndim = 2\n[initial]\ncoefficients = 1,0,0\n",
+         "initial.coefficients must have length 2, got 3"),
+        ("[model]\nK = 1\n[initial]\ncoefficients = 0,0j,-0.0\n",
+         "initial.coefficients must have a nonzero norm"),
+        ("[model]\nK = 1\n[initial]\ncoefficients = 1e-170,0,1e-170j\n",
+         "initial.coefficients must have a nonzero norm"),
+    ])
+    def test_cross_key_rules(self, text, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.errors == [message]
+
+    @pytest.mark.parametrize("text", [
+        "[time]\nstart = 1.0\nstop = 2.0\n",
+        "[model]\nT = 1.0\n[time]\nstop = 1.0\n[audit]\nt0 = 1.0\n",
+        "[model]\nalpha = table\nalpha_times = 0,1\nalpha_values = 1,1\n",
+        "[model]\nK = 1\n[initial]\nmode = -1\n",
+        "[model]\nkind = constant\ndim = 2\n[initial]\nmode = 1\n",
+        # The mode is not used when coefficients are given.
+        "[model]\nK = 1\n[initial]\nmode = 7\ncoefficients = 0,0,1e-3j\n",
+        "[propagator]\nn_list =\nsteps_list = 1\n",
+        "[propagator]\nn_list = 1\n",
+    ])
+    def test_the_edges_of_each_rule_are_admitted(self, text):
+        parse_config(text)
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("converge", "[model]\nK = 1\n[propagator]\nn_list = 0,4\n",
+         "propagator.n_list entries must be >= 1"),
+        ("converge", "[model]\nK = 1\n[propagator]\nn_list = 8,4\n",
+         "propagator.n_list must be strictly increasing"),
+        ("converge", "[model]\nK = 1\n[propagator]\nn_list =\nsteps_list = -64,128\n",
+         "propagator.steps_list entries must be >= 1"),
+        ("audit", "[model]\nkind = constant\ndim = 1\n[audit]\ngrid_points = 17\n",
+         "model.dim must be >= 2"),
+        ("audit", "[model]\nK = 1\n[audit]\ngrid_points = 5\n", "audit.grid_points must be >= 8"),
+        ("propagate", "[model]\nK = 1\n[time]\nsteps = 1\n", "time.steps must be >= 2"),
+        ("audit", "[model]\nK = 1\nalpha = polynomial\nalpha_coeffs =\n[audit]\ngrid_points = 17\n",
+         "model.alpha_coeffs needs at least one entry"),
+        *[(command, "[model]\nK = 1\n[audit]\ngrid_points = 17\n[initial]\nmode = 5\n",
+           "initial.mode must satisfy |mode| <= K = 1")
+          for command in ("audit", "spectrum", "propagate", "converge")],
+    ])
+    def test_config_mistakes_exit_1_before_any_output(self, tmp_path, capsys, command, text,
+                                                      message):
+        # Each exited 2 as a numerical failure, crashed, or (a bad mode under
+        # audit and spectrum) ran, before the rule moved into the schema.
+        code, created = _cli(tmp_path, command, text)
+        assert code == 1 and not created
+        assert f"config error: {message}" in capsys.readouterr().err
+
+
+#: ``(model keys, the profile they name)`` for every ``model.alpha`` name.
+ALPHA_CASES = [
+    ("alpha = sin\nalpha_amplitude = 2.0\nalpha_frequency = 3.0\nalpha_phase = 0.5\n"
+     "alpha_offset = -1.0",
+     alpha_profile("trigonometric", amplitude=2.0, frequency=3.0, phase=0.5, offset=-1.0)),
+    ("alpha = trigonometric\nalpha_frequency = 2.0",
+     alpha_profile("trigonometric", amplitude=1.0, frequency=2.0, phase=0.0, offset=0.0)),
+    ("alpha = constant\nalpha_value = 2.5", alpha_profile("constant", value=2.5)),
+    ("alpha = polynomial\nalpha_coeffs = 0.5,-1.0,0.3",
+     alpha_profile("polynomial", coeffs=[0.5, -1.0, 0.3])),
+    ("alpha = rough_c0\nalpha_amplitude = 0.7\nalpha_scale = 4.0",
+     alpha_profile("rough_c0", amplitude=0.7, scale=4.0)),
+    ("alpha = table\nalpha_times = 0,1,3\nalpha_values = 1,-1,2",
+     alpha_profile("table", times=[0.0, 1.0, 3.0], values=[1.0, -1.0, 2.0])),
+    # Without a center, the corner sits at T / 2.
+    ("alpha = kink\nalpha_amplitude = 2.0\nalpha_offset = 0.5",
+     alpha_profile("kink", center=1.5, amplitude=2.0, offset=0.5)),
+    ("alpha = kink\nalpha_center = 0.25",
+     alpha_profile("kink", center=0.25, amplitude=1.0, offset=0.0)),
+]
+
+
+class TestBuildModel:
+    """``build_model`` turns each ``model.alpha`` name into its profile."""
+
+    def test_every_alpha_name_is_covered(self):
+        names = {keys.split("\n")[0].removeprefix("alpha = ") for keys, _ in ALPHA_CASES}
+        assert names == set(config.ALPHA_NAMES)
+
+    @pytest.mark.parametrize("keys, expected", ALPHA_CASES)
+    def test_each_alpha_name_builds_its_profile(self, keys, expected):
+        tdh = build_model(parse_config(f"[model]\nK = 2\nT = 3.0\n{keys}\n"))
+        assert tdh.source.alpha == expected
+        times = np.linspace(0.0, 3.0, 7)
+        assert np.array_equal(tdh.source.alpha.value(times), expected.value(times))
+
+    def test_coefficients_start_propagate(self, tmp_path):
+        text = "[model]\nK = 1\n[time]\nsteps = 8\n[initial]\ncoefficients = 1,1j,0\n"
+        code, _ = _cli(tmp_path, "propagate", text)
+        assert code == 0
+        first = {k: float(v[0]) for k, v in read_columns(tmp_path / "out" / "trajectory.csv").items()}
+        expected = np.array([1.0, 1j, 0.0]) / math.sqrt(2.0)
+        for label, value in zip(("k-1", "k+0", "k+1"), expected):
+            assert first[f"re_{label}"] == pytest.approx(value.real, abs=1e-15)
+            assert first[f"im_{label}"] == pytest.approx(value.imag, abs=1e-15)
+        cfg = parse_config(text)
+        assert np.allclose(initial_state(cfg, build_model(cfg)), expected, rtol=0, atol=1e-15)
+
+
+class TestIoFailures:
+    def test_out_below_a_regular_file_exits_3(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        path = tmp_path / "config.ini"
+        path.write_text("[model]\nK = 1\n[audit]\ngrid_points = 9\n")
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "file" / "o")]) == 3
+        assert "i/o failure" in capsys.readouterr().err
+
+    def test_a_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            runs._write_atomic(str(tmp_path / "a.csv"), "x\n1\n")
+        assert os.listdir(tmp_path) == []
 
 
 class TestRunners:
@@ -266,12 +456,21 @@ mode = 0
         with pytest.raises(ConfigError):
             run_convergence(parse_config(text), str(tmp_path))
 
-    def test_failed_run_writes_no_data_artifact(self, tmp_path):
-        # The Yosida sweep alone would succeed; the refused step sweep must
-        # not leave its convergence.csv behind.
-        text = "[model]\nK = 1\n[time]\nsteps = 16\n[propagator]\nn_list = 2,4\nsteps_list = 8,4\n"
-        with pytest.raises(ConfigError, match="steps_list must be strictly increasing"):
+    def test_failed_run_writes_no_data_artifact(self, tmp_path, monkeypatch):
+        # The Yosida sweep succeeds; the K = 16 order-4 Dyson step sweep after
+        # it diverges, and must not leave the sweep's convergence.csv behind.
+        text = (CONFIGS / "propagate_circle.ini").read_text().replace(
+            "method = magnus2", "method = dyson\norder = 4\nn_list = 2,4\nsteps_list = 16,32")
+        studies = []
+
+        def study(*args, **kwargs):
+            studies.append(yosida_convergence_study(*args, **kwargs))
+            return studies[-1]
+
+        monkeypatch.setattr(runs, "yosida_convergence_study", study)
+        with pytest.raises(NumericalError, match="not finite at t = "):
             run_convergence(parse_config(text), str(tmp_path / "out"))
+        assert len(studies) == 1 and studies[0].columns("n")
         assert not (tmp_path / "out").exists()
 
 
