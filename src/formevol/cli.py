@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 Subcommands: ``audit``, ``propagate``, ``converge``, ``spectrum``.  Each
-takes ``--config PATH`` and ``--out DIR``; ``--grid-refine k`` multiplies
-audit/trajectory grids by ``2**k`` where applicable.
+takes ``--config PATH`` and ``--out DIR``; ``--grid-refine k`` (``k >= 0``)
+multiplies audit/trajectory grids by ``2**k`` where applicable.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 I/O failure.
+Exit codes: 0 success, 1 configuration or argument error, 2 numerical
+failure, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -25,8 +25,23 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    # An argument mistake exits 1, as a config mistake does: argparse's 2 is
+    # formevol's numerical failure.
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def _refinement(text):
+    """``--grid-refine``: a decimal integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="formevol",
         description=(
             "Audits and unitary propagation for time-dependent Hamiltonians "
@@ -46,7 +61,7 @@ def _build_parser():
         if refinable:
             cmd.add_argument(
                 "--grid-refine",
-                type=int,
+                type=_refinement,
                 default=0,
                 metavar="K",
                 help="multiply grids by 2**K",

@@ -128,7 +128,6 @@ class PropagatorTable:
     times: np.ndarray
     matrices: np.ndarray
     method: str
-    params: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -183,13 +182,13 @@ def _walk(times, steps, dim, method):
         yield rows, U, _defects(U, times[rows], method)
 
 
-def _table(tdh, s, times, steps, method, params) -> PropagatorTable:
+def _table(tdh, s, times, steps, method) -> PropagatorTable:
     """The :class:`PropagatorTable` of the ``(block, E)`` ``steps`` on ``times``."""
     U = np.empty((times.size, tdh.dim, tdh.dim), dtype=complex)
     defects = np.empty(times.size)
     for rows, U_rows, defects_rows in _walk(times, steps, tdh.dim, method):
         U[rows], defects[rows] = U_rows, defects_rows
-    return PropagatorTable(float(s), times, U, method, params, {"unitarity_defect": defects})
+    return PropagatorTable(float(s), times, U, method, {"unitarity_defect": defects})
 
 
 def _grid(s, t, substeps):
@@ -232,8 +231,7 @@ def reference_propagator(tdh, s, t, substeps, scheme="magnus2") -> PropagatorTab
     to eigensolver roundoff, making unitarity a hard invariant of the table
     rather than a convergence artifact.  ``t < s`` integrates backwards.
     """
-    return _table(tdh, s, *_reference_steps(tdh, s, t, substeps, scheme), scheme,
-                  {"substeps": int(substeps)})
+    return _table(tdh, s, *_reference_steps(tdh, s, t, substeps, scheme), scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +318,7 @@ def dyson_propagator(tdh, s, t, order, substeps, yosida_n=None) -> PropagatorTab
     regularization.  Steps are not renormalized: the unitarity defect decays
     at the scheme order and is reported in the diagnostics.
     """
-    return _table(tdh, s, *_steps(tdh, s, t, "dyson", substeps, order, yosida_n, None))
+    return _table(tdh, s, *_steps(tdh, s, t, "dyson", substeps, order, yosida_n))
 
 
 # ---------------------------------------------------------------------------
@@ -350,29 +348,26 @@ class Trajectory:
         return float(np.max(np.abs(norms - norms[0])))
 
 
-def _steps(tdh, s, t, method, substeps, order, yosida_n, inner_scheme):
-    """``(times, steps, label, params)`` of a propagation by method name: the grid,
-    the generator of ``(block, E)`` steps, and the table's method and parameters."""
+def _steps(tdh, s, t, method, substeps, order, yosida_n):
+    """``(times, steps, method)`` of a propagation by method name: the grid, the
+    generator of ``(block, E)`` steps, and the method (``yosida``: magnus2 of ``H_n``)."""
     if method in ("magnus2", "magnus4"):
-        return (*_reference_steps(tdh, s, t, substeps, method), method,
-                {"substeps": int(substeps)})
+        return (*_reference_steps(tdh, s, t, substeps, method), method)
     if method == "dyson":
-        return (*_dyson_steps(tdh, s, t, order, substeps, yosida_n), "dyson",
-                {"order": int(order), "substeps": int(substeps), "yosida_n": yosida_n})
+        return (*_dyson_steps(tdh, s, t, order, substeps, yosida_n), "dyson")
     if method == "yosida":
         if yosida_n is None:
             raise ArgumentError("method 'yosida' requires yosida_n")
         family = yosida_hamiltonian(tdh, yosida_n)
-        return (*_reference_steps(family, s, t, substeps, inner_scheme), "yosida",
-                {"n": int(yosida_n), "inner_method": inner_scheme, "substeps": int(substeps)})
+        return (*_reference_steps(family, s, t, substeps, "magnus2"), "yosida")
     raise ArgumentError(f"unknown propagation method {method!r}")
 
 
 def _solves_per_step(s, t, method, substeps, order, yosida_n):
-    """Matrices a step of :func:`_steps` eigensolves, inner scheme magnus2: one
-    exponential a magnus2 step, two a magnus4 step, the Yosida map and one
-    exponential a yosida step; a dyson step none, or with ``yosida_n`` one
-    Yosida map per quadrature node."""
+    """Matrices a step of :func:`_steps` eigensolves: one exponential a magnus2
+    step, two a magnus4 step, the Yosida map and one exponential a yosida step
+    (magnus2 of ``H_n``); a dyson step none, or with ``yosida_n`` one Yosida map
+    per quadrature node."""
     if method != "dyson":
         return {"magnus2": 1, "magnus4": 2, "yosida": 2}[method]
     if yosida_n is None:
@@ -392,14 +387,15 @@ def _state(psi0, dim):
 
 
 def build_table(tdh, s, t, method="magnus2", substeps=256, order=2,
-                yosida_n=None, inner_scheme="magnus2") -> PropagatorTable:
+                yosida_n=None) -> PropagatorTable:
     """The propagator table of a construction chosen by method name.
 
     ``magnus2``/``magnus4`` build reference tables, ``dyson`` the truncated
-    expansion, and ``yosida`` propagates the regularized family ``H_n`` with
-    the chosen inner reference scheme.
+    expansion, and ``yosida`` propagates the regularized family ``H_n`` by
+    magnus2; ``build_table(yosida_hamiltonian(tdh, n), s, t, "magnus4")`` is
+    its magnus4 table.
     """
-    return _table(tdh, s, *_steps(tdh, s, t, method, substeps, order, yosida_n, inner_scheme))
+    return _table(tdh, s, *_steps(tdh, s, t, method, substeps, order, yosida_n))
 
 
 def _apply(psi, times, steps, method):
@@ -423,7 +419,7 @@ def _apply(psi, times, steps, method):
 
 
 def final_state(tdh, psi0, s, t, method="magnus2", substeps=256, order=2,
-                yosida_n=None, inner_scheme="magnus2") -> np.ndarray:
+                yosida_n=None) -> np.ndarray:
     """``U(t, s) psi0`` for the propagation :func:`build_table` would tabulate.
 
     Each block's step propagators are applied to the state, ``psi <- E_j psi``,
@@ -433,13 +429,12 @@ def final_state(tdh, psi0, s, t, method="magnus2", substeps=256, order=2,
     would, raises :class:`NumericalError` naming the block's end time.
     """
     psi = _state(psi0, tdh.dim)
-    times, steps, _, _ = _steps(tdh, s, t, method, substeps, order, yosida_n, inner_scheme)
+    times, steps, _ = _steps(tdh, s, t, method, substeps, order, yosida_n)
     return _apply(psi, times, steps, method)
 
 
 def propagate(tdh, psi0, s=None, t=None, method=None, substeps=256,
-              order=2, yosida_n=None, inner_scheme="magnus2",
-              table=None) -> Trajectory:
+              order=2, yosida_n=None, table=None) -> Trajectory:
     """Propagate ``psi0`` from ``s`` to ``t``; returns the full trajectory.
 
     Either supply a prebuilt ``table`` (then ``method``, if given, must agree
@@ -463,8 +458,7 @@ def propagate(tdh, psi0, s=None, t=None, method=None, substeps=256,
             )
         states = np.einsum("jab,b->ja", table.matrices, psi0)
         return Trajectory(table.times, states, table.method, table.max_unitarity_defect())
-    times, steps, label, _ = _steps(tdh, s, t, method or "magnus2", substeps, order,
-                                    yosida_n, inner_scheme)
+    times, steps, label = _steps(tdh, s, t, method or "magnus2", substeps, order, yosida_n)
     states = np.empty((times.size, tdh.dim), dtype=complex)
     defect = 0.0
     for rows, U, defects in _walk(times, steps, tdh.dim, label):
@@ -574,15 +568,15 @@ class AxiomReport:
         }
 
 
-def propagator_axioms(table: PropagatorTable, from_r: PropagatorTable = None,
-                      states=None) -> AxiomReport:
+def propagator_axioms(table: PropagatorTable, from_r: PropagatorTable = None) -> AxiomReport:
     """Verify ``U(t, t) = I`` exactly and the composition law on shared grids.
 
     With ``from_r`` given (a table started at an earlier time ``r`` whose
     grid contains ``table.s`` and the common times), the defect
     ``max_t |U(t, s) U(s, r) - U(t, r)|`` is computed; otherwise it is 0.
     ``max_step_increment`` records grid-level strong continuity,
-    ``max_j |(U_{j+1} - U_j) psi|`` over the sampled states.
+    ``max_j |(U_{j+1} - U_j) psi|`` over the first three basis vectors ``psi``
+    (all of them below dimension 3).
     """
     identity = bool(np.array_equal(table.matrices[0], np.eye(table.dim)))
 
@@ -601,15 +595,9 @@ def propagator_axioms(table: PropagatorTable, from_r: PropagatorTable = None,
             D = table.matrices[j] @ U_sr - U_tr
             defect = max(defect, float(np.linalg.norm(D, 2)))
 
-    if states is None:
-        k = min(3, table.dim)
-        states = np.eye(table.dim, dtype=complex)[:k]
-    states = np.asarray(states, dtype=complex)
-    if states.ndim == 1:
-        states = states[None, :]
     increments = np.diff(table.matrices, axis=0)
     max_inc = 0.0
-    for psi in states:
+    for psi in np.eye(table.dim, dtype=complex)[:3]:
         vals = np.linalg.norm(np.einsum("jab,b->ja", increments, psi), axis=1)
         if vals.size:
             max_inc = max(max_inc, float(vals.max()))

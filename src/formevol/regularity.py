@@ -59,17 +59,17 @@ def uniform_grid(t0, t1, points) -> np.ndarray:
     return np.linspace(t0, t1, int(points))
 
 
-def audit_grid(tdh, points=DEFAULT_GRID_POINTS, refine_near=(), levels=5) -> np.ndarray:
+def audit_grid(tdh, points=DEFAULT_GRID_POINTS, refine_near=()) -> np.ndarray:
     """Uniform audit grid over the span, optionally refined near flagged times.
 
-    For each flagged time, extra points at dyadically shrinking offsets are
-    inserted on both sides (clipped to the span).
+    For each flagged time, extra points at the five dyadic offsets ``h / 2 .. h / 32``
+    (``h`` the grid step) are inserted on both sides, clipped to the span.
     """
     t0, t1 = tdh.t_span
     grid = uniform_grid(t0, t1, points)
     if refine_near:
         h = (t1 - t0) / (points - 1)
-        offsets = h / 2.0 ** np.arange(1, levels + 1)
+        offsets = h / 2.0 ** np.arange(1, 6)
         extra = np.add.outer(refine_near, np.concatenate([-offsets, offsets]))
         grid = np.unique(np.concatenate([grid, extra[(extra >= t0) & (extra <= t1)]]))
     return grid
@@ -148,24 +148,18 @@ def _fd_derivative(tdh, times, h):
     return D
 
 
-def _derivative_stack(tdh, grid, order, h=None, allow_fd=True):
+def _derivative_stack(tdh, grid, order):
     """``d^n H / dt^n``, ``n = order`` in 0..2, at every grid time, stacked.
 
-    Without an analytic derivative, and with ``allow_fd``, the first falls
-    back to :func:`_fd_derivative`, the second to a central difference of step
-    ``h`` (default ``span * 1e-4``) at the time clamped into ``[t0 + h, t1 - h]``,
-    on the analytic first derivative when there is one.
+    Without an analytic derivative the first falls back to :func:`_fd_derivative`,
+    the second to a central difference at the time clamped into ``[t0 + h, t1 - h]``,
+    on the analytic first derivative when there is one; ``h = span * 1e-4``.
     """
     D = tdh.stack(grid, order)
     if D is not None:
         return D
-    if not allow_fd:
-        raise ArgumentError(
-            f"analytic {'second ' if order == 2 else ''}derivative unavailable "
-            "and finite differences disabled"
-        )
     t0, t1 = tdh.t_span
-    h = (t1 - t0) * 1e-4 if h is None else h
+    h = (t1 - t0) * 1e-4
     if order == 1:
         return _fd_derivative(tdh, grid, h)
     tc = np.clip(grid, t0 + h, t1 - h)
@@ -248,7 +242,7 @@ def check_S1(tdh, grid, t0=None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def s2_profile(tdh, grid, fd_step=None, allow_fd=True):
+def s2_profile(tdh, grid):
     """Pointwise derivative bounds computed two independent ways.
 
     Returns ``(direct, via_inverse)`` where ``direct[j]`` is
@@ -260,7 +254,7 @@ def s2_profile(tdh, grid, fd_step=None, allow_fd=True):
     grid = _check_grid(tdh, grid)
 
     def bounds(times):
-        Hdot = _derivative_stack(tdh, times, 1, h=fd_step, allow_fd=allow_fd)
+        Hdot = _derivative_stack(tdh, times, 1)
         return _derivative_bounds(tdh.shifted(times), Hdot, times)[:2]
 
     return _over_blocks(tdh, grid, bounds)
@@ -285,9 +279,9 @@ def _derivative_bounds(A, Hdot, times):
     return direct, dual, lowest
 
 
-def check_S2(tdh, grid, fd_step=None, allow_fd=True) -> float:
+def check_S2(tdh, grid) -> float:
     """Supremum over the grid of the sandwiched derivative bound."""
-    direct, _ = s2_profile(tdh, grid, fd_step=fd_step, allow_fd=allow_fd)
+    direct, _ = s2_profile(tdh, grid)
     return float(direct.max())
 
 
@@ -296,10 +290,10 @@ def check_S2(tdh, grid, fd_step=None, allow_fd=True) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sandwiched_stack(tdh, grid, order, t0=None, allow_fd=True):
+def _sandwiched_stack(tdh, grid, order, t0=None):
     factor = _reference(tdh, t0)[1].power_matrix(-0.5)
     return _over_blocks(tdh, grid, lambda times: (
-        _sandwich(factor, _derivative_stack(tdh, times, order, allow_fd=allow_fd)),))[0]
+        _sandwich(factor, _derivative_stack(tdh, times, order)),))[0]
 
 
 #: Most pairs per batched eigensolve in the K2 branch and bound: each band's
@@ -382,7 +376,7 @@ def _k2_band_maxima(W, grid, thresholds, counters=None):
     return maxima
 
 
-def check_K2(tdh, grid, order=1, t0=None, allow_fd=True, *, stack=None, counters=None):
+def check_K2(tdh, grid, order=1, t0=None, *, stack=None, counters=None):
     """Continuity moduli ``omega(delta)`` of the ``order``-th derivative.
 
     For each dyadic separation ``delta`` (full grid span halved down to twice
@@ -405,12 +399,9 @@ def check_K2(tdh, grid, order=1, t0=None, allow_fd=True, *, stack=None, counters
     grid = _check_grid(tdh, grid)
     if grid.size < 8:
         raise GridError(f"K2 audit needs >= 8 grid points, got {grid.size}")
-    if stack is None:
-        W = _sandwiched_stack(tdh, grid, order, t0=t0, allow_fd=allow_fd)
-    elif np.shape(stack)[0] != grid.size:
-        raise ArgumentError(f"K2 stack has {np.shape(stack)[0]} slices for {grid.size} grid points")
-    else:
-        W = stack
+    W = _sandwiched_stack(tdh, grid, order, t0=t0) if stack is None else stack
+    if np.shape(W)[0] != grid.size:
+        raise ArgumentError(f"K2 stack has {np.shape(W)[0]} slices for {grid.size} grid points")
     span = float(grid[-1] - grid[0])
     mean_h = span / (grid.size - 1)
     n_levels = max(1, int(math.floor(math.log2(span / (2.0 * mean_h)))) + 1)
@@ -469,7 +460,6 @@ class AssumptionReport:
     the decision was based on.
     """
 
-    grid: np.ndarray
     t0: float
     k2_order: int
     s1_constant: float
@@ -489,7 +479,7 @@ class AssumptionReport:
         return {**summary, "k2_modulus": [[d, w] for d, w in self.k2_modulus]}
 
 
-def _grid_pass(tdh, grid, factors, k2_order, allow_fd):
+def _grid_pass(tdh, grid, factors, k2_order):
     """One walk over the blocks for :func:`bridge_check`: each block stacks ``H``
     and ``dH/dt`` once, and the K2 stack reuses one of them for ``k2_order`` 0 or 1.
     Returns the extremes of the pencil against each factor, both derivative bounds,
@@ -500,18 +490,18 @@ def _grid_pass(tdh, grid, factors, k2_order, allow_fd):
         H = tdh.stack(times)
         A = H + shift
         pencils = [w for factor in factors for w in _pencil_extremes(A, factor, times)]
-        Hdot = _derivative_stack(tdh, times, 1, allow_fd=allow_fd)
+        Hdot = _derivative_stack(tdh, times, 1)
         bounds = _derivative_bounds(A, Hdot, times)
         if k2_order in (0, 1):
             D = Hdot if k2_order else H
         else:
-            D = _derivative_stack(tdh, times, k2_order, allow_fd=allow_fd)
+            D = _derivative_stack(tdh, times, k2_order)
         return (*pencils, *bounds, _sandwich(factors[0], D))
 
     return _over_blocks(tdh, grid, block)
 
 
-def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9, allow_fd=True) -> AssumptionReport:
+def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9) -> AssumptionReport:
     """Run all three audits and record the implication structure.
 
     A family whose inner products vary smoothly must also satisfy the
@@ -534,19 +524,18 @@ def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9, allow_fd=True) -
     # The second pencil is against A(t0) + I: the reference quadratic form
     # with an extra ambient-norm term folded in.
     lo, hi, lo_u, hi_u, s2_direct, s2_dual, lowest, W = _grid_pass(
-        tdh, grid, (factor, scale.power_matrix(-0.5, shift=1.0)), k2_order, allow_fd
-    )
+        tdh, grid, (factor, scale.power_matrix(-0.5, shift=1.0)), k2_order)
     c_norm, c_unit = _s1_constant(lo, hi), _s1_constant(lo_u, hi_u)
     s2_bound = float(s2_direct.max())
 
     N = grid.size
     counters = {"threads": block_threads(len(blocks(N, tdh.dim)))}
-    moduli = check_K2(tdh, grid, order=k2_order, allow_fd=allow_fd, stack=W, counters=counters)
+    moduli = check_K2(tdh, grid, order=k2_order, stack=W, counters=counters)
     mid = 0.5 * (grid[0] + grid[-1])
     k_mid = int(np.searchsorted(grid, mid))
     mid_is_node = bool(grid[k_mid] == mid)
     W_mid = W[k_mid] if mid_is_node else _sandwich(
-        factor, _derivative_stack(tdh, np.array([mid]), k2_order, allow_fd=allow_fd))[0]
+        factor, _derivative_stack(tdh, np.array([mid]), k2_order))[0]
     ref_norms = [hermitian_spectral_norm(S) for S in (W[0], W_mid, W[-1])]
     k2_pass, k2_details = k2_verdict(moduli, max(ref_norms), slope_min=slope_min)
 
@@ -576,7 +565,7 @@ def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9, allow_fd=True) -
     per_t = dict(lambda_min=lowest - (tdh.semibound.m + 1.0), pencil_min=lo, pencil_max=hi,
                  s2_local=s2_direct, s2_local_alt=s2_dual, k2_local=k2_local)
     return AssumptionReport(
-        grid=grid, t0=t_ref, k2_order=k2_order, s1_constant=c_norm,
+        t0=t_ref, k2_order=k2_order, s1_constant=c_norm,
         s1_operator_constant=c_norm**2, s1_constant_unit_shift=c_unit, s2_bound=s2_bound,
         k2_modulus=moduli, verdicts=verdicts, per_t=per_t, counters=counters,
     )

@@ -123,42 +123,26 @@ class RunRecord:
 # ---------------------------------------------------------------------------
 
 
+#: The parameters of each alpha profile kind, each read from the config key ``alpha_<name>``.
+ALPHA_PARAMS = {
+    "constant": ("value",),
+    "polynomial": ("coeffs",),
+    "trigonometric": ("amplitude", "frequency", "phase", "offset"),
+    "kink": ("center", "amplitude", "offset"),
+    "rough_c0": ("amplitude", "scale"),
+    "table": ("times", "values"),
+}
+
+
 def build_alpha(model_section):
-    name = model_section.alpha
-    if name in ("sin", "trigonometric"):
-        return alpha_profile(
-            "trigonometric",
-            amplitude=model_section.alpha_amplitude,
-            frequency=model_section.alpha_frequency,
-            phase=model_section.alpha_phase,
-            offset=model_section.alpha_offset,
-        )
-    if name == "constant":
-        return alpha_profile("constant", value=model_section.alpha_value)
-    if name == "polynomial":
-        return alpha_profile("polynomial", coeffs=list(model_section.alpha_coeffs))
-    if name == "kink":
-        center = model_section.alpha_center
-        if center is None:
-            center = 0.5 * model_section.T
-        return alpha_profile(
-            "kink",
-            center=center,
-            amplitude=model_section.alpha_amplitude,
-            offset=model_section.alpha_offset,
-        )
-    if name == "rough_c0":
-        return alpha_profile(
-            "rough_c0",
-            amplitude=model_section.alpha_amplitude,
-            scale=model_section.alpha_scale,
-        )
-    # "table", the one name left: the schema admits only ALPHA_NAMES.
-    return alpha_profile(
-        "table",
-        times=list(model_section.alpha_times),
-        values=list(model_section.alpha_values),
-    )
+    """The profile ``model.alpha`` names (``sin`` is ``trigonometric``); a kink's
+    centre defaults to ``T / 2``, and list parameters are passed as lists."""
+    kind = "trigonometric" if model_section.alpha == "sin" else model_section.alpha
+    params = {name: getattr(model_section, f"alpha_{name}") for name in ALPHA_PARAMS[kind]}
+    if kind == "kink" and params["center"] is None:
+        params["center"] = 0.5 * model_section.T
+    return alpha_profile(kind, **{k: list(v) if isinstance(v, tuple) else v
+                                  for k, v in params.items()})
 
 
 def build_model(cfg: ExperimentConfig):

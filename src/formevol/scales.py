@@ -55,9 +55,9 @@ class HilbertScale:
         self.eigenvectors = Q
 
     @classmethod
-    def from_operator(cls, A, shift=None, label=""):
+    def from_operator(cls, A):
         """Wrap an already positive definite ``A`` with spectrum above one."""
-        return cls(A, shift=0.0 if shift is None else shift, label=label)
+        return cls(A, shift=0.0)
 
     @property
     def dim(self) -> int:

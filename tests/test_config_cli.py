@@ -670,6 +670,26 @@ class TestCli:
         rows = (out / "audit.csv").read_text().strip().splitlines()
         assert len(rows) - 1 == 33
 
+    @pytest.mark.parametrize("command", ["audit", "spectrum", "propagate"])
+    @pytest.mark.parametrize("mistake, flag", [
+        (["--out", "OUT", "--grid-refine", "-9"], "argument --grid-refine"),
+        (["--out", "OUT", "--grid-refine", "-1"], "argument --grid-refine"),
+        (["--out", "OUT", "--grid-refine", "x"], "argument --grid-refine"),
+        ([], "required: --out"),
+    ], ids=["refine-9", "refine-1", "refine-x", "no-out"])
+    def test_argument_mistakes_exit_1_naming_the_flag(self, tmp_path, capsys, command,
+                                                      mistake, flag):
+        # argparse's own code is 2, formevol's numerical failure; a negative
+        # refinement used to run on a fractional grid.
+        cfg = self._write(tmp_path, "[model]\nK = 1\n[audit]\ngrid_points = 17\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", cfg, *(str(out) if a == "OUT" else a for a in mistake)]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_artifacts(self, tmp_path):
         cfg = self._write(
             tmp_path,

@@ -643,15 +643,16 @@ class TestBatchedSteps:
         t1 = tdh.t_span[1]
         per_time = reference_yosida_family(tdh, n)
         psi0 = random_unit_vector(np.random.default_rng(5), tdh.dim)
-        for scheme in ("magnus2", "magnus4"):
+        # method yosida is magnus2 of H_n; magnus4 of H_n is magnus4 of its family.
+        runs = {"magnus2": (tdh, {"method": "yosida", "yosida_n": n}),
+                "magnus4": (yosida_hamiltonian(tdh, n), {"method": "magnus4"})}
+        for scheme, (family, options) in runs.items():
             for substeps in edge_substeps(tdh):
-                options = {"method": "yosida", "substeps": substeps, "yosida_n": n,
-                           "inner_scheme": scheme}
-                table = build_table(tdh, 0.0, t1, **options)
+                table = build_table(family, 0.0, t1, substeps=substeps, **options)
                 reference = reference_table(per_time, 0.0, t1, substeps, scheme)
                 assert_table_matches(table, reference)
-                assert_trajectory_matches(propagate(tdh, psi0, 0.0, t1, **options),
-                                          reference, psi0)
+                traj = propagate(family, psi0, 0.0, t1, substeps=substeps, **options)
+                assert_trajectory_matches(traj, reference, psi0)
 
     @pytest.mark.parametrize("yosida_n", [None, 8])
     @pytest.mark.parametrize("family", ["sin", "table", "rotating_frame"])
@@ -692,13 +693,13 @@ class TestBatchedSteps:
 
 
 #: Propagation options of the state-path tests: every method, Dyson with and
-#: without the Yosida regularization.
+#: without the Yosida regularization; ``H_n`` propagates ``yosida_hamiltonian(tdh, n)``.
 STATE_CASES = [
     {"method": "magnus2"},
     {"method": "magnus4"},
     {"method": "yosida", "yosida_n": 4},
     {"method": "yosida", "yosida_n": 64},
-    {"method": "yosida", "yosida_n": 4, "inner_scheme": "magnus4"},
+    {"method": "magnus4", "H_n": 4},
 ] + [
     {"method": "dyson", "order": order, "yosida_n": n} for order in (2, 4) for n in (None, 8)
 ]
@@ -712,6 +713,9 @@ class TestFinalState:
     def test_matches_the_table_path(self, family, options, blocks_of_32):
         tdh = FAMILIES[family]()
         blocks_of_32(tdh.dim)
+        options = dict(options)
+        if "H_n" in options:
+            tdh = yosida_hamiltonian(tdh, options.pop("H_n"))
         psi0 = random_unit_vector(np.random.default_rng(7), tdh.dim)
         t1 = tdh.t_span[1]
         for s, t in ((0.0, t1), (t1, 0.3)):  # forward, and backward from the end

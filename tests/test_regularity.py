@@ -161,12 +161,6 @@ class TestCheckS2:
         grid = uniform_grid(0, TWO_PI, 17)
         assert abs(check_S2(analytic, grid) - check_S2(blind, grid)) < 1e-8
 
-    def test_fd_disabled_raises(self):
-        prof = alpha_profile("table", times=[0.0, 1.0], values=[0.0, 1.0])
-        tdh = circle_delta_model(2, prof, 1.0)
-        with pytest.raises(Exception):
-            check_S2(tdh, uniform_grid(0, 1, 9), allow_fd=False)
-
     def test_monotone_under_refinement(self):
         prof = alpha_profile("trigonometric", amplitude=1.0, frequency=3.0)
         tdh = circle_delta_model(4, prof, TWO_PI)
@@ -644,14 +638,6 @@ class TestErrorPaths:
             audit(tdh, grid)
         assert f"(A({grid[first]}))" in str(info.value)
         assert info.value.lambda_min < 0.0
-
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_table_profile_without_finite_differences(self, order):
-        prof = alpha_profile("table", times=[0.0, 1.0], values=[0.0, 1.0])
-        tdh = circle_delta_model(2, prof, 1.0)
-        message = "derivative unavailable and finite differences disabled"
-        with pytest.raises(ArgumentError, match=message):
-            check_K2(tdh, uniform_grid(0, 1, 9), order=order, allow_fd=False)
 
 
 def exclusive():
