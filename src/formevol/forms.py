@@ -12,7 +12,10 @@ fresh, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
+import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -26,6 +29,42 @@ from .errors import (
     NumericalError,
     SemiboundError,
 )
+
+#: ``(counts, lock)`` of the innermost :func:`tallying`, or None outside one.
+_TALLY = contextvars.ContextVar("formevol_tally", default=None)
+
+
+@contextlib.contextmanager
+def tallying():
+    """Yield the dict that :func:`count` fills inside the block, also from the
+    threads of :func:`map_blocks`, which run in copies of the caller's context."""
+    token = _TALLY.set(({}, threading.Lock()))
+    try:
+        yield _TALLY.get()[0]
+    finally:
+        _TALLY.reset(token)
+
+
+def count(name, n, combine=operator.add):
+    """Fold ``n`` into the tally's ``name`` by ``combine``; nothing outside :func:`tallying`."""
+    tally = _TALLY.get()
+    if tally is not None:
+        counts, lock = tally
+        with lock:
+            counts[name] = combine(counts[name], n) if name in counts else n
+
+
+def eigh(a):
+    """``np.linalg.eigh(a)``, its matrices counted as ``eigensolved_mats``."""
+    count("eigensolved_mats", math.prod(np.shape(a)[:-2]))
+    return np.linalg.eigh(a)
+
+
+def eigvalsh(a):
+    """``np.linalg.eigvalsh(a)``, its matrices counted as ``eigensolved_mats``."""
+    count("eigensolved_mats", math.prod(np.shape(a)[:-2]))
+    return np.linalg.eigvalsh(a)
+
 
 #: Relative tolerance (against the largest entry) for accepting a matrix as
 #: Hermitian.  Inputs within tolerance are symmetrized; anything worse is
@@ -79,18 +118,13 @@ def blocks(n, dim):
     return [slice(start, start + size) for start in range(0, n, size)]
 
 
-def block_threads(parts):
-    """Threads :func:`map_blocks` runs ``parts`` parts on: one per CPU this
-    process may use, at most one per part, and at least one."""
-    return max(1, min(len(os.sched_getaffinity(0)), parts))
-
-
 def map_blocks(fn, parts):
     """``[fn(part) for part in parts]``, the parts run concurrently.
 
-    The calling thread and ``block_threads(len(parts)) - 1`` helper threads
-    take the parts one at a time, in order, as each becomes free; with one
-    CPU or one part no thread starts, and the caller runs them all.  Each
+    The parts run on one thread per CPU this process may use, at most one per
+    part and at least one, counted as ``threads``: the calling thread and
+    helpers take the parts one at a time, in order, as each becomes free; with
+    one CPU or one part no thread starts, and the caller runs them all.  Each
     helper runs in a copy of the caller's context, so ``np.errstate`` and
     other context variables reach its parts.  If parts fail, the exception of
     the earliest one is raised, as the serial loop would raise it: parts are
@@ -112,8 +146,10 @@ def map_blocks(fn, parts):
                 with lock:
                     errors[i] = exc
 
+    threads = max(1, min(len(os.sched_getaffinity(0)), len(parts)))
+    count("threads", threads, max)
     helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
-               for _ in range(block_threads(len(parts)) - 1)]
+               for _ in range(threads - 1)]
     for helper in helpers:
         helper.start()
     work()
@@ -128,7 +164,7 @@ def hermitian_spectral_norm(M):
     """Spectral norm of a Hermitian matrix, or of each slice of a ``(..., d, d)`` stack."""
     if np.size(M) == 0:
         return 0.0 if np.ndim(M) == 2 else np.zeros(np.shape(M)[:-2])
-    norms = np.max(np.abs(np.linalg.eigvalsh(M)), axis=-1)
+    norms = np.max(np.abs(eigvalsh(M)), axis=-1)
     return float(norms) if np.ndim(M) == 2 else norms
 
 
@@ -219,7 +255,7 @@ def semibound_of(form: HermitianForm) -> Semibound:
     by the ``+ (m + 1)`` shift of the scale construction.
     """
     try:
-        lam_min = float(np.linalg.eigvalsh(form.G)[0])
+        lam_min = float(eigvalsh(form.G)[0])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed on form {form.label!r}") from exc
     return Semibound(m=max(0.0, -lam_min))
@@ -259,7 +295,7 @@ def form_operator_norm(V, A0) -> float:
     A = hermitize(A0, context="A0")
     if V.shape != A.shape:
         raise ArgumentError(f"shape mismatch: V {V.shape} vs A0 {A.shape}")
-    w, Q = np.linalg.eigh(A)
+    w, Q = eigh(A)
     if w[0] <= 0.0:
         raise NotPositiveDefiniteError(w[0], context="A0")
     inv_sqrt = (Q * (1.0 / np.sqrt(w))) @ Q.conj().T

@@ -34,7 +34,7 @@ from functools import partial, partialmethod
 import numpy as np
 
 from .errors import ArgumentError, NumericalError
-from .forms import Semibound, blocks, hermitize
+from .forms import Semibound, blocks, count, eigh, eigvalsh, hermitize
 from .scales import HilbertScale, build_scale
 
 TWO_PI = 2.0 * math.pi
@@ -248,6 +248,7 @@ class TimeDependentHamiltonian:
         evaluated = times if times.size else np.array(self.t_span[:1])
         with self._lock:
             out = fn(evaluated)
+        count("h_slices", times.size)
         name, expected = _ORDER_NAMES[order], (evaluated.size, self.dim, self.dim)
         if np.shape(out) != expected:
             raise ArgumentError(f"the {name} stack (order {order}) of {evaluated.size} times "
@@ -381,7 +382,7 @@ class CircleDeltaModel:
 
     def spectrum(self, t) -> np.ndarray:
         """Sorted eigenvalues at ``t``, or one row per time of a 1-d array of times."""
-        sym = np.linalg.eigvalsh(self.symmetric_blocks(np.atleast_1d(t)))
+        sym = eigvalsh(self.symmetric_blocks(np.atleast_1d(t)))
         anti = np.broadcast_to(self.antisymmetric_eigenvalues(), (sym.shape[0], self.K))
         out = np.sort(np.concatenate([sym, anti], axis=1), axis=1)
         return out if np.ndim(t) else out[0]
@@ -411,7 +412,7 @@ class CircleDeltaModel:
         frozen = CircleDeltaModel(
             self.K, alpha_profile("constant", value=a_min), self.T
         )
-        lam_min = float(np.linalg.eigvalsh(frozen.symmetric_block(0.0))[0])
+        lam_min = float(eigvalsh(frozen.symmetric_block(0.0))[0])
         return Semibound(m=max(0.0, -lam_min))
 
     def to_hamiltonian(self) -> TimeDependentHamiltonian:
@@ -443,7 +444,7 @@ def spectrum(model, t) -> np.ndarray:
     if isinstance(circle, CircleDeltaModel):
         solve, dim = circle.spectrum, circle.K + 1
     elif isinstance(model, TimeDependentHamiltonian):
-        solve, dim = (lambda ts: np.linalg.eigvalsh(model.stack(ts))), model.dim
+        solve, dim = (lambda ts: eigvalsh(model.stack(ts))), model.dim
     else:
         raise ArgumentError(f"cannot compute a spectrum for {type(model).__name__}")
     times = np.atleast_1d(np.asarray(t, dtype=float))
@@ -488,7 +489,7 @@ class SyntheticModel:
 def _hermitian_group(G):
     """``t -> exp(-i G t)`` for a Hermitian ``G``, from one eigendecomposition;
     a 1-d array of times gives the stack of the group at each of them."""
-    w, V = np.linalg.eigh(G)
+    w, V = eigh(G)
     Vh = V.conj().T
     return lambda t: (V * np.exp(-1j * w * np.expand_dims(t, -1))[..., None, :]) @ Vh
 
@@ -526,7 +527,7 @@ def synthetic_family(kind, n, T, params=None) -> TimeDependentHamiltonian:
             raise ArgumentError(f"matrix has shape {H0.shape}, expected {(n, n)}")
         params["matrix"] = H0
         model = SyntheticModel("constant", params)
-        m = max(0.0, -float(np.linalg.eigvalsh(H0)[0]))
+        m = max(0.0, -float(eigvalsh(H0)[0]))
         return AffineHamiltonian(H0, (), (0.0, T), Semibound(m), label="constant", source=model)
 
     if kind == "commuting_diagonal":
@@ -569,7 +570,7 @@ def synthetic_family(kind, n, T, params=None) -> TimeDependentHamiltonian:
         def Hfun(times):
             return hermitize(rotated(times), rtol=1e-12, context=lambda j: f"H({times[j]})")
 
-        m = max(0.0, -float(np.linalg.eigvalsh(H0)[0]))
+        m = max(0.0, -float(eigvalsh(H0)[0]))
         return TimeDependentHamiltonian.from_stacks(
             n, (Hfun, Hdot, None), (0.0, T), Semibound(m), label="rotating_frame", source=model,
         )

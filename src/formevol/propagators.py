@@ -34,8 +34,9 @@ together: ``H_n`` is a spectral function of ``H``, so one eigensolve of each
 block's ``H(mid)`` stack and one product per step give the steps of all its
 runs, which are applied to a stack of states.  The study keeps the
 reference's final state (``YosidaStudy.reference``), bit for bit the magnus2
-:func:`final_state`, for a step sweep on the same grid to compare against.
-Tables are immutable once built.
+:func:`final_state`, for a step sweep on the same grid to compare against,
+and the scale of its plus norm (``YosidaStudy.scale``).  Tables are
+immutable once built.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, GridError, NumericalError
-from .forms import blocks, hermitian_spectral_norm, hermitize
+from .forms import blocks, count, eigh, hermitian_spectral_norm, hermitize
 from .models import TimeDependentHamiltonian
 from .scales import HilbertScale
 
@@ -66,7 +67,7 @@ def _spectral_exp(w, Q, dt) -> np.ndarray:
 def unitary_exp(H, dt) -> np.ndarray:
     """Exact ``exp(-i dt H)`` via eigendecomposition, of a Hermitian matrix or
     of each slice of a ``(..., d, d)`` stack; ``dt`` is a scalar or one per slice."""
-    return _spectral_exp(*np.linalg.eigh(H), dt)
+    return _spectral_exp(*eigh(H), dt)
 
 
 def yosida_operator(H, n, shift) -> np.ndarray:
@@ -87,7 +88,7 @@ def _yosida_map(H, n, shift, where):
         raise ArgumentError(f"regularization index must be a positive integer, got {n}")
     H = hermitize(H, context="H")
     shift = float(shift)
-    w, Q = np.linalg.eigh(H + shift * np.eye(H.shape[-1]))
+    w, Q = eigh(H + shift * np.eye(H.shape[-1]))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         mapped = (w - shift) * n / (n + w)
     bad = np.flatnonzero(~np.isfinite(mapped).all(axis=-1))
@@ -174,6 +175,7 @@ def _walk(times, steps, dim, method):
     U = np.eye(dim, dtype=complex)[None]
     yield slice(0, 1), U, _defects(U, times[:1], method)
     for block, E in steps:
+        count("propagation_steps", len(E))
         last, U = U[-1], np.empty(E.shape, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):  # caught by _defects
             for i, E_j in enumerate(E):
@@ -363,19 +365,6 @@ def _steps(tdh, s, t, method, substeps, order, yosida_n):
     raise ArgumentError(f"unknown propagation method {method!r}")
 
 
-def _solves_per_step(s, t, method, substeps, order, yosida_n):
-    """Matrices a step of :func:`_steps` eigensolves: one exponential a magnus2
-    step, two a magnus4 step, the Yosida map and one exponential a yosida step
-    (magnus2 of ``H_n``); a dyson step none, or with ``yosida_n`` one Yosida map
-    per quadrature node."""
-    if method != "dyson":
-        return {"magnus2": 1, "magnus4": 2, "yosida": 2}[method]
-    if yosida_n is None:
-        return 0
-    dt = abs(float(t) - float(s)) / int(substeps)
-    return sum({_node_count(dt, int(order), p) for p in range(1, int(order) + 1)})
-
-
 def _state(psi0, dim):
     """``psi0`` as a complex vector of dimension ``dim``; refuses any other shape and zero."""
     psi = np.array(psi0, dtype=complex)
@@ -405,6 +394,7 @@ def _apply(psi, times, steps, method):
     Not through :func:`_walk`: its per-block bookkeeping cost a few percent of
     a sweep."""
     for block, E in steps:
+        count("propagation_steps", math.prod(E.shape[:-2]))  # steps x runs
         # A diverged expansion overflows here; it is reported below, not warned.
         with np.errstate(over="ignore", invalid="ignore"):
             for E_j in E:
@@ -617,12 +607,13 @@ def propagator_axioms(table: PropagatorTable, from_r: PropagatorTable = None) ->
 class YosidaStudy:
     """Final-state errors along a sweep against a reference propagation; ``n_values``
     holds the regularization indices, or the step counts of a step sweep, and
-    ``reference`` the final state of the reference propagation."""
+    ``reference`` and ``scale`` the final state and plus-norm scale of the reference."""
 
     n_values: np.ndarray
     err_h: np.ndarray
     err_plus: np.ndarray
     reference: np.ndarray
+    scale: HilbertScale
 
     @classmethod
     def against(cls, ref, n_values, finals, scale):
@@ -631,7 +622,7 @@ class YosidaStudy:
         diffs = [final - ref for final in finals]
         err_h = np.array([float(np.linalg.norm(diff)) for diff in diffs])
         return cls(np.asarray(n_values), err_h, np.array([scale.norm_plus(d) for d in diffs]),
-                   ref)
+                   ref, scale)
 
     @property
     def ratios(self) -> np.ndarray:
@@ -658,7 +649,7 @@ def _sweep_steps(tdh, n_arr, times):
     for block in blocks(times.size - 1, tdh.dim):
         a, b = times[:-1][block], times[1:][block]
         dt, mid = b - a, 0.5 * (a + b)
-        w, Q = np.linalg.eigh(tdh.stack(mid))
+        w, Q = eigh(tdh.stack(mid))
         w = w[:, None]
         with np.errstate(all="ignore"):  # non-finite steps are refused below
             mapped = w / (1.0 + (w + shift) / n_arr[:, None])
@@ -690,7 +681,7 @@ def yosida_convergence_study(tdh, n_list, psi0, s, t, substeps=1024) -> YosidaSt
     start of the span.  ``reference`` is the final state of ``H`` itself,
     bit for bit ``final_state(tdh, psi0, s, t, "magnus2", substeps)``, so a
     step sweep on the same grid can compare against it without propagating
-    it again.
+    it again; ``scale`` is the scale at the start of the span.
     """
     n_arr = np.asarray(list(n_list), dtype=int)
     if n_arr.size == 0 or np.any(np.diff(n_arr) <= 0):

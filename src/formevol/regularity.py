@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, GridError, NotPositiveDefiniteError, NumericalError
-from .forms import block_threads, blocks, hermitian_spectral_norm, hermitize, map_blocks
+from .forms import blocks, count, eigh, eigvalsh, hermitian_spectral_norm, hermitize, map_blocks
 
 #: Machine scale used by the K2 "modulus is numerically zero" test.
 _EPS = float(np.finfo(float).eps)
@@ -210,7 +210,7 @@ def _pencil_extremes(A, factor, times):
     """Smallest and largest eigenvalues of the pencils ``(A[j], A_ref)``, ``factor = A_ref^{-1/2}``,
     from the batched eigensolve of ``factor A[j] factor``.  By Sylvester's law of
     inertia the lowest has the sign of ``A[j]``'s lowest eigenvalue."""
-    w = np.linalg.eigvalsh(factor @ A @ factor)
+    w = eigvalsh(factor @ A @ factor)
     _require_positive(w[:, 0], times)
     return w[:, 0], w[:, -1]
 
@@ -262,7 +262,7 @@ def s2_profile(tdh, grid):
 
 def _derivative_bounds(A, Hdot, times):
     """Both derivative bounds at each slice, checked to agree, and ``A``'s lowest eigenvalue."""
-    w, Q = np.linalg.eigh(A)
+    w, Q = eigh(A)
     _require_positive(w[:, 0], times)
     lowest = w[:, 0]
     w, Qh = w[:, None, :], Q.conj().swapaxes(-1, -2)
@@ -312,7 +312,7 @@ def _frobenius_norms(rows):
     return np.sqrt(np.einsum("pk,pk->p", scaled, scaled)), exponent
 
 
-def _k2_band_maxima(W, grid, thresholds, counters=None):
+def _k2_band_maxima(W, grid, thresholds):
     """Running maxima of ``|W_i - W_j|`` over nested separation bands.
 
     ``thresholds`` descend; entry ``b`` of the result is the maximum spectral
@@ -326,7 +326,8 @@ def _k2_band_maxima(W, grid, thresholds, counters=None):
     walked from the finest separation outward, carrying the maximum, since
     each level set contains the finer ones.  A band's first batch is one pair,
     its best bound, and each next batch doubles up to :data:`_K2_CHUNK`: the
-    first maxima usually prune the rest of the band.
+    first maxima usually prune the rest of the band.  Counts ``k2_pairs``, the
+    pairs on the grid, and ``k2_exact_pairs``, the pairs eigensolved.
     """
     if not np.all(np.isfinite(W)):
         raise NumericalError("K2 stack has non-finite entries")
@@ -370,13 +371,12 @@ def _k2_band_maxima(W, grid, thresholds, counters=None):
                 exact += diffs.shape[0]
                 running = max(running, float(hermitian_spectral_norm(diffs).max()))
         maxima[b] = running
-    if counters is not None:
-        counters["k2_pairs"] = counters.get("k2_pairs", 0) + int(I.size)
-        counters["k2_exact_pairs"] = counters.get("k2_exact_pairs", 0) + exact
+    count("k2_pairs", int(I.size))
+    count("k2_exact_pairs", exact)
     return maxima
 
 
-def check_K2(tdh, grid, order=1, t0=None, *, stack=None, counters=None):
+def check_K2(tdh, grid, order=1, t0=None, *, stack=None):
     """Continuity moduli ``omega(delta)`` of the ``order``-th derivative.
 
     For each dyadic separation ``delta`` (full grid span halved down to twice
@@ -392,9 +392,7 @@ def check_K2(tdh, grid, order=1, t0=None, *, stack=None, counters=None):
     bound can still beat the running maximum are eigensolved.  The cost
     therefore scales with the pairs that survive pruning, not with all
     ``N (N - 1) / 2`` of them.  ``stack`` is the sandwiched stack of the
-    derivative on ``grid`` when the caller already has it; ``counters``, if
-    given, is a dict that accumulates ``k2_pairs`` (pairs on the grid) and
-    ``k2_exact_pairs`` (pairs eigensolved).
+    derivative on ``grid`` when the caller already has it.
     """
     grid = _check_grid(tdh, grid)
     if grid.size < 8:
@@ -407,7 +405,7 @@ def check_K2(tdh, grid, order=1, t0=None, *, stack=None, counters=None):
     n_levels = max(1, int(math.floor(math.log2(span / (2.0 * mean_h)))) + 1)
     deltas = [span / 2.0**j for j in range(n_levels)]
     thresholds = np.array([delta * (1.0 + 1e-12) for delta in deltas])
-    maxima = _k2_band_maxima(W, grid, thresholds, counters)
+    maxima = _k2_band_maxima(W, grid, thresholds)
     return [(delta, float(omega)) for delta, omega in zip(deltas, maxima)]
 
 
@@ -469,8 +467,6 @@ class AssumptionReport:
     k2_modulus: list
     verdicts: dict
     per_t: dict = field(default_factory=dict)
-    #: Work counters of the audit; run metadata, so not part of ``to_dict``.
-    counters: dict = field(default_factory=dict)
 
     def to_dict(self):
         names = ("t0", "k2_order", "s1_constant", "s1_operator_constant",
@@ -513,10 +509,7 @@ def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9) -> AssumptionRep
     report always carries verdicts; nothing raises on a failed audit.
 
     The grid is walked once, its blocks run concurrently by
-    :func:`forms.map_blocks`.  ``counters`` has ``h_slices``, the slices of ``H``
-    and its derivatives stacked (a finite-difference derivative counting as
-    one), ``eigensolved_mats``, the matrices eigensolved, and ``threads``, the
-    threads the walk ran on.
+    :func:`forms.map_blocks`.
     """
     grid = _check_grid(tdh, grid)
     t_ref, scale = _reference(tdh, t0)
@@ -528,13 +521,10 @@ def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9) -> AssumptionRep
     c_norm, c_unit = _s1_constant(lo, hi), _s1_constant(lo_u, hi_u)
     s2_bound = float(s2_direct.max())
 
-    N = grid.size
-    counters = {"threads": block_threads(len(blocks(N, tdh.dim)))}
-    moduli = check_K2(tdh, grid, order=k2_order, stack=W, counters=counters)
+    moduli = check_K2(tdh, grid, order=k2_order, stack=W)
     mid = 0.5 * (grid[0] + grid[-1])
     k_mid = int(np.searchsorted(grid, mid))
-    mid_is_node = bool(grid[k_mid] == mid)
-    W_mid = W[k_mid] if mid_is_node else _sandwich(
+    W_mid = W[k_mid] if grid[k_mid] == mid else _sandwich(
         factor, _derivative_stack(tdh, np.array([mid]), k2_order))[0]
     ref_norms = [hermitian_spectral_norm(S) for S in (W[0], W_mid, W[-1])]
     k2_pass, k2_details = k2_verdict(moduli, max(ref_norms), slope_min=slope_min)
@@ -551,21 +541,12 @@ def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9) -> AssumptionRep
 
     # Local modulus between grid neighbours, for per-time diagnostics.
     neighbours = map_blocks(lambda block: hermitian_spectral_norm(W[1:][block] - W[:-1][block]),
-                            blocks(N - 1, tdh.dim))
+                            blocks(grid.size - 1, tdh.dim))
     k2_local = np.concatenate([[0.0], *neighbours])
-
-    # H(t0); H, dH/dt and for order 2 d2H/dt2 at each grid time; the midpoint
-    # of the K2 reference norms when it is no grid time.
-    counters["h_slices"] = 1 + N * (3 if k2_order == 2 else 2) + (not mid_is_node)
-    # The reference scale's two; per grid time two pencils, eigh(A) and the
-    # two derivative-bound norms; the neighbour differences, the three
-    # reference norms and the K2 pairs solved exactly.
-    counters["eigensolved_mats"] = 2 + 5 * N + (N - 1) + 3 + counters["k2_exact_pairs"]
 
     per_t = dict(lambda_min=lowest - (tdh.semibound.m + 1.0), pencil_min=lo, pencil_max=hi,
                  s2_local=s2_direct, s2_local_alt=s2_dual, k2_local=k2_local)
     return AssumptionReport(
         t0=t_ref, k2_order=k2_order, s1_constant=c_norm,
         s1_operator_constant=c_norm**2, s1_constant_unit_shift=c_unit, s2_bound=s2_bound,
-        k2_modulus=moduli, verdicts=verdicts, per_t=per_t, counters=counters,
-    )
+        k2_modulus=moduli, verdicts=verdicts, per_t=per_t)

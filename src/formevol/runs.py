@@ -26,11 +26,10 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, config_hash, serialize_config
 from .errors import ArgumentError
-from .forms import block_threads, map_blocks
+from .forms import map_blocks, tallying
 from .models import alpha_profile, circle_delta_model, spectrum, synthetic_family
 from .propagators import (
     YosidaStudy,
-    _solves_per_step,
     final_state,
     propagate,
     weak_residual,
@@ -112,6 +111,7 @@ class RunRecord:
     #: dtype of the model's ``H`` stack, ``"float64"`` or ``"complex128"``: the
     #: arithmetic (real symmetric or complex Hermitian LAPACK) the run took.
     arithmetic: str
+    #: The work the run did after building its model, as :func:`forms.count` tallied it.
     counters: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -168,6 +168,13 @@ def initial_state(cfg: ExperimentConfig, tdh) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
+def _refinement(grid_refine):
+    """``2**grid_refine``, the factor ``--grid-refine`` refines a grid by."""
+    if grid_refine < 0 or int(grid_refine) != grid_refine:
+        raise ArgumentError(f"grid_refine must be an integer >= 0, got {grid_refine!r}")
+    return 2**grid_refine
+
+
 def _span(cfg: ExperimentConfig):
     start = cfg.time.start
     stop = cfg.time.stop if cfg.time.stop is not None else cfg.model.T
@@ -186,9 +193,10 @@ def _coefficient_labels(cfg, indices):
 # ---------------------------------------------------------------------------
 
 
-def _finish(cfg, outdir, artifacts, series, t_start, tdh, counters=None):
+def _finish(cfg, outdir, artifacts, series, t_start, tdh, counts):
     """Write ``artifacts`` (``.csv`` ones as columns, the rest as JSON), then
-    ``plotdata.csv`` of ``series``, ``effective_config.ini`` and ``run_record.json``."""
+    ``plotdata.csv`` of ``series``, ``effective_config.ini`` and ``run_record.json``
+    with ``counts``, where ``h_slices`` and ``eigensolved_mats`` are 0 if not counted."""
     tag = config_hash(cfg)
     for name, content in artifacts.items():
         write = write_csv if name.endswith(".csv") else write_json
@@ -202,7 +210,7 @@ def _finish(cfg, outdir, artifacts, series, t_start, tdh, counters=None):
         wall_time_s=_time.perf_counter() - t_start,
         outputs=sorted([*artifacts, "plotdata.csv", "effective_config.ini"]),
         arithmetic=tdh.stack(tdh.t_span[:1]).dtype.name,
-        counters=counters or {},
+        counters={"h_slices": 0, "eigensolved_mats": 0, **counts},
     )
     write_json(os.path.join(outdir, "run_record.json"), record.to_dict())
     return record
@@ -229,55 +237,53 @@ def _rayleigh_max_ratio(A, samples):
 def run_audit(cfg: ExperimentConfig, outdir, grid_refine=0):
     """Assumption audits on a uniform grid; writes audit.csv + summary JSON."""
     t_start = _time.perf_counter()
-    tdh = build_model(cfg)
     audit = cfg.audit
-    points = (audit.grid_points - 1) * 2**grid_refine + 1
+    points = (audit.grid_points - 1) * _refinement(grid_refine) + 1
+    tdh = build_model(cfg)
     grid = uniform_grid(0.0, cfg.model.T, points)
-    report = bridge_check(
-        tdh, grid, t0=audit.t0, k2_order=audit.k2_order, slope_min=audit.k2_slope_min)
+    with tallying() as counts:
+        report = bridge_check(
+            tdh, grid, t0=audit.t0, k2_order=audit.k2_order, slope_min=audit.k2_slope_min)
+        summary = report.to_dict()
+        if audit.rayleigh_samples > 0:
+            rng = np.random.default_rng(audit.seed)
+            samples = rng.standard_normal((audit.rayleigh_samples, tdh.dim)) \
+                + 1j * rng.standard_normal((audit.rayleigh_samples, tdh.dim))
+            A = tdh.shifted(np.concatenate([[report.t0], grid[:: max(1, grid.size // 32)]]))
+            worst = summary["rayleigh_max_ratio"] = _rayleigh_max_ratio(A, samples)
+            bound = report.s1_operator_constant * (1.0 + 1e-12)
+            summary["rayleigh_within_bound"] = bool(worst <= bound)
+
     names = ("lambda_min", "pencil_max", "pencil_min", "s2_local", "k2_local")
     headers = ("t", "lambda_min", "lambda_max_pencil", "lambda_min_pencil", "S2_local",
                "K2_omega_at_t")
     table = dict(zip(headers, [grid, *(report.per_t[name] for name in names)]))
-
-    summary = report.to_dict()
-    if audit.rayleigh_samples > 0:
-        rng = np.random.default_rng(audit.seed)
-        samples = rng.standard_normal((audit.rayleigh_samples, tdh.dim)) \
-            + 1j * rng.standard_normal((audit.rayleigh_samples, tdh.dim))
-        A = tdh.shifted(np.concatenate([[report.t0], grid[:: max(1, grid.size // 32)]]))
-        worst = summary["rayleigh_max_ratio"] = _rayleigh_max_ratio(A, samples)
-        report.counters["threads"] = max(report.counters["threads"], block_threads(len(A)))
-        bound = report.s1_operator_constant * (1.0 + 1e-12)
-        summary["rayleigh_within_bound"] = bool(worst <= bound)
-
     series = {name: (grid, report.per_t[name]) for name in names[:4]}
     series["k2_omega"] = np.transpose(report.k2_modulus)
     artifacts = {"audit.csv": table, "audit_summary.json": summary}
-    return report, _finish(cfg, outdir, artifacts, series, t_start, tdh, report.counters)
+    return report, _finish(cfg, outdir, artifacts, series, t_start, tdh, counts)
 
 
 def run_propagation(cfg: ExperimentConfig, outdir, grid_refine=0):
     """Propagate the configured initial state; writes trajectory + residuals."""
     t_start = _time.perf_counter()
+    prop = cfg.propagator
+    steps, inner = cfg.time.steps * _refinement(grid_refine), prop.substeps
     tdh = build_model(cfg)
     psi0 = initial_state(cfg, tdh)
     s, t = _span(cfg)
-    prop = cfg.propagator
-    steps, inner = cfg.time.steps * 2**grid_refine, prop.substeps
-    traj = propagate(tdh, psi0, s, t, method=prop.method, substeps=steps * inner,
-                     order=prop.order, yosida_n=prop.yosida_n)
-    times = traj.times[::inner]
-    states = traj.states[::inner]
-
     order = np.argsort(-np.abs(psi0), kind="stable")
     selected = np.sort(order[: min(4, tdh.dim)])
     labels = _coefficient_labels(cfg, selected)
-
-    scale0 = tdh.scale_at(tdh.t_span[0])
     test = np.eye(tdh.dim, dtype=complex)[selected]
-    sub_traj = replace(traj, times=times, states=states)
-    report = weak_residual(tdh, sub_traj, test, scale=scale0)
+
+    with tallying() as counts:
+        traj = propagate(tdh, psi0, s, t, method=prop.method, substeps=steps * inner,
+                         order=prop.order, yosida_n=prop.yosida_n)
+        times, states = traj.times[::inner], traj.states[::inner]
+        scale0 = tdh.scale_at(tdh.t_span[0])
+        report = weak_residual(tdh, replace(traj, times=times, states=states), test,
+                               scale=scale0)
 
     norm_h = np.linalg.norm(states, axis=1)
     norm_plus = np.array([scale0.norm_plus(v) for v in states])
@@ -293,11 +299,7 @@ def run_propagation(cfg: ExperimentConfig, outdir, grid_refine=0):
     summary = {**report.to_dict(), "unitarity_defect": traj.unitarity_defect,
                "method": traj.method}
     artifacts = {"trajectory.csv": trajectory, "residuals.json": summary}
-    n = traj.times.size - 1
-    per_step = _solves_per_step(s, t, prop.method, n, prop.order, prop.yosida_n)
-    # The steps', one unitarity defect a table row, and the scale's two.
-    counters = {"propagation_steps": n, "eigensolved_mats": n * per_step + (n + 1) + 2}
-    return report, _finish(cfg, outdir, artifacts, series, t_start, tdh, counters)
+    return report, _finish(cfg, outdir, artifacts, series, t_start, tdh, counts)
 
 
 def run_convergence(cfg: ExperimentConfig, outdir):
@@ -305,62 +307,50 @@ def run_convergence(cfg: ExperimentConfig, outdir):
     step sweep whose reference grid, ``4 * max(steps_list)`` steps, is the
     Yosida sweep's ``time.steps`` compares against that sweep's reference."""
     t_start = _time.perf_counter()
-    n_list = cfg.propagator.n_list
-    steps_list = cfg.propagator.steps_list
+    prop = cfg.propagator
+    n_list, steps_list = prop.n_list, prop.steps_list
     tdh = build_model(cfg)
     psi0 = initial_state(cfg, tdh)
     s, t = _span(cfg)
     artifacts, series = {}, {}
-    steps = solved = 0  # propagation steps applied and matrices eigensolved, over both sweeps
 
-    if n_list:
-        study = yosida_convergence_study(
-            tdh, list(n_list), psi0, s, t, substeps=cfg.time.steps
-        )
-        artifacts["convergence.csv"] = study.columns("n")
-        series["yosida_err_H"] = (study.n_values, study.err_h)
-        series["yosida_err_plus"] = (study.n_values, study.err_plus)
-        steps += cfg.time.steps * (len(n_list) + 1)
-        solved += cfg.time.steps + 2  # one a step for all runs, and the scale's two
+    with tallying() as counts:
+        if n_list:
+            study = yosida_convergence_study(tdh, n_list, psi0, s, t, substeps=cfg.time.steps)
+            artifacts["convergence.csv"] = study.columns("n")
+            series["yosida_err_H"] = (study.n_values, study.err_h)
+            series["yosida_err_plus"] = (study.n_values, study.err_plus)
 
-    if steps_list:
-        prop = cfg.propagator
-        options = {"method": prop.method, "order": prop.order, "yosida_n": prop.yosida_n}
-        ref_steps = 4 * max(steps_list)
-        propagated = list(steps_list)
-        if n_list and prop.method == "magnus2" and ref_steps == cfg.time.steps:
-            # Row 0 of the Yosida sweep is this propagation, bit for bit.
-            ref = study.reference
-        else:
-            ref = final_state(tdh, psi0, s, t, substeps=ref_steps, **options)
-            propagated.append(ref_steps)
-        finals = (final_state(tdh, psi0, s, t, substeps=N, **options) for N in steps_list)
-        steps += sum(propagated)
-        solved += sum(N * _solves_per_step(s, t, prop.method, N, prop.order, prop.yosida_n)
-                      for N in propagated) + 2
-        sweep = YosidaStudy.against(ref, steps_list, finals, tdh.scale_at(tdh.t_span[0]))
-        artifacts["convergence_steps.csv"] = sweep.columns("steps")
-        series["steps_err_H"] = (sweep.n_values, sweep.err_h)
+        if steps_list:
+            options = {"method": prop.method, "order": prop.order, "yosida_n": prop.yosida_n}
+            ref_steps = 4 * max(steps_list)
+            if n_list and prop.method == "magnus2" and ref_steps == cfg.time.steps:
+                # Row 0 of the Yosida sweep is this propagation, bit for bit.
+                ref = study.reference
+            else:
+                ref = final_state(tdh, psi0, s, t, substeps=ref_steps, **options)
+            finals = (final_state(tdh, psi0, s, t, substeps=N, **options) for N in steps_list)
+            scale = study.scale if n_list else tdh.scale_at(tdh.t_span[0])
+            sweep = YosidaStudy.against(ref, steps_list, finals, scale)
+            artifacts["convergence_steps.csv"] = sweep.columns("steps")
+            series["steps_err_H"] = (sweep.n_values, sweep.err_h)
 
-    counters = {"propagation_steps": steps, "eigensolved_mats": solved}
-    return _finish(cfg, outdir, artifacts, series, t_start, tdh, counters)
+    return _finish(cfg, outdir, artifacts, series, t_start, tdh, counts)
 
 
 def run_spectrum(cfg: ExperimentConfig, outdir, grid_refine=0):
     """Eigenvalue scan over time; long-format CSV (t, index, eigenvalue)."""
     t_start = _time.perf_counter()
+    points = (cfg.audit.grid_points - 1) * _refinement(grid_refine) + 1
     tdh = build_model(cfg)
-    points = (cfg.audit.grid_points - 1) * 2**grid_refine + 1
     grid = uniform_grid(0.0, cfg.model.T, points)
-    evals = spectrum(tdh, grid)
+    with tallying() as counts:
+        evals = spectrum(tdh, grid)
     levels = evals.shape[1]
-    table = {
-        "t": np.repeat(grid, levels),
-        "index": np.tile(np.arange(levels), grid.size),
-        "eigenvalue": evals.ravel(),
-    }
+    table = {"t": np.repeat(grid, levels), "index": np.tile(np.arange(levels), grid.size),
+             "eigenvalue": evals.ravel()}
     series = {f"level_{idx:03d}": (grid, evals[:, idx]) for idx in range(levels)}
-    return _finish(cfg, outdir, {"spectrum.csv": table}, series, t_start, tdh)
+    return _finish(cfg, outdir, {"spectrum.csv": table}, series, t_start, tdh, counts)
 
 
 def emit_plotdata(records, path):

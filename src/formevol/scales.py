@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, NotPositiveDefiniteError, SemiboundError
-from .forms import Semibound, hermitize
+from .forms import Semibound, eigh, eigvalsh, hermitize
 
 
 class HilbertScale:
@@ -40,7 +40,7 @@ class HilbertScale:
 
     def __init__(self, A, shift, label=""):
         A = hermitize(A, context=label or "scale operator")
-        w, Q = np.linalg.eigh(A)
+        w, Q = eigh(A)
         if w[0] < 1.0 - self.FLOOR_TOL:
             raise NotPositiveDefiniteError(
                 w[0], context="scale operator (eigenvalues must be >= 1)"
@@ -116,7 +116,7 @@ def build_scale(H, m, label="") -> HilbertScale:
     """
     bound = m.m if isinstance(m, Semibound) else float(m)
     H = hermitize(H, context=label or "H")
-    lam_min = float(np.linalg.eigvalsh(H)[0])
+    lam_min = float(eigvalsh(H)[0])
     if lam_min < -bound - 1e-10:
         raise SemiboundError(
             f"lambda_min(H) = {lam_min:.6e} violates the claimed "
@@ -163,7 +163,7 @@ def _pencil_constant(A2, A1) -> EquivalenceConstant:
     # factor A1 = L L*: the standard problem of L^{-1} A2 L^{-*} has the same
     # eigenvalues, and x = L^{-*} u gives eigenvectors with V* A1 V = I.
     Linv = np.linalg.inv(np.linalg.cholesky(A1))
-    w, U = np.linalg.eigh(Linv @ A2 @ Linv.conj().T)
+    w, U = eigh(Linv @ A2 @ Linv.conj().T)
     V = Linv.conj().T @ U
     if w[0] <= 0.0:
         raise NotPositiveDefiniteError(w[0], context="pencil")

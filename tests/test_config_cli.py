@@ -470,6 +470,14 @@ mode = 0
         assert len(studies) == 1  # the Yosida sweep completed before the failure
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("runner", [run_audit, run_propagation, run_spectrum])
+    @pytest.mark.parametrize("grid_refine", [-1, 0.5])
+    def test_grid_refine_must_be_a_count(self, tmp_path, runner, grid_refine):
+        # Unchecked, 2**-1 halved the grid and 2**0.5 gave a fractional point count.
+        with pytest.raises(ArgumentError, match="grid_refine"):
+            runner(parse_config(MINIMAL), str(tmp_path / "out"), grid_refine=grid_refine)
+        assert not (tmp_path / "out").exists()
+
 
 def read_columns(path):
     """``{header: [cell, ...]}`` of a CSV artifact, cells as text."""
@@ -830,14 +838,17 @@ mode = 0
         record = json.loads((out / "run_record.json").read_text())
         assert record["counters"]["propagation_steps"] == steps
 
-    @pytest.mark.parametrize("refine, points", [(0, 257), (1, 513)])
-    def test_run_record_counts_the_audit_pass(self, tmp_path, refine, points):
+    @pytest.mark.parametrize("refine, points, slices", [(0, 257, 549), (1, 513, 1061)])
+    def test_run_record_counts_the_audit_pass(self, tmp_path, monkeypatch, refine, points,
+                                              slices):
+        stacked = TestConvergeWork.count_slices(monkeypatch)
         out = tmp_path / "out"
         args = ["audit", "--config", str(CONFIGS / "audit_circle.ini"), "--out", str(out)]
         assert main(args + ["--grid-refine", str(refine)]) == 0
         counters = json.loads((out / "run_record.json").read_text())["counters"]
-        # H(t0), then H and dH/dt once at each grid time (the midpoint is one).
-        assert counters["h_slices"] == 1 + 2 * points
+        # H(t0), then H and dH/dt once at each grid time (the midpoint is one), and the
+        # Rayleigh check's A(t0) and 33 grid times.
+        assert counters["h_slices"] == sum(stacked) == 1 + 2 * points + 34 == slices
         # The reference scale's 2; two pencils, eigh(A) and two S2 norms a time;
         # the neighbour differences, 3 reference norms and the K2 pairs solved.
         solved = 2 + 5 * points + (points - 1) + 3 + counters["k2_exact_pairs"]
@@ -845,7 +856,7 @@ mode = 0
         if refine == 0:
             # One thread per usable CPU, at most one per slice of the 34-slice Rayleigh check.
             threads = min(len(os.sched_getaffinity(0)), 34)
-            assert counters == {"h_slices": 515, "eigensolved_mats": 1560, "k2_pairs": 32896,
+            assert counters == {"h_slices": 549, "eigensolved_mats": 1560, "k2_pairs": 32896,
                                 "k2_exact_pairs": 14, "threads": threads}
 
     ARITHMETIC = """
@@ -917,6 +928,31 @@ class TestConvergeWork:
         monkeypatch.setattr(runs, "build_model", build)
         return solved, built
 
+    @staticmethod
+    def count_slices(monkeypatch):
+        """The times of each ``TimeDependentHamiltonian.stack`` call after the model is
+        built and before the run's files are written, the span the run record counts."""
+        stacked, counting = [], []
+
+        def stack(self, times, order=0, stack=TimeDependentHamiltonian.stack):
+            if counting:
+                stacked.append(np.size(times))
+            return stack(self, times, order)
+
+        def build(cfg, build_model=runs.build_model):
+            tdh = build_model(cfg)
+            counting.append(True)
+            return tdh
+
+        def finish(*args, finish=runs._finish):
+            counting.clear()
+            return finish(*args)
+
+        monkeypatch.setattr(TimeDependentHamiltonian, "stack", stack)
+        monkeypatch.setattr(runs, "build_model", build)
+        monkeypatch.setattr(runs, "_finish", finish)
+        return stacked
+
     @pytest.mark.parametrize("edits, own_reference", [
         ({}, False),  # the shipped config: 4 x 256 = 1,024 = time.steps
         ({"steps = 1024": "steps = 512"}, True),
@@ -950,8 +986,8 @@ class TestConvergeWork:
 
     @pytest.mark.parametrize("command, config, expected", [
         # 1,024 Yosida steps, one eigensolve each for all runs, and 64 + 128 + 256
-        # sweep steps; two scales of two eigensolves each.
-        ("converge", "converge_circle.ini", 1476),
+        # sweep steps; one scale, shared by both sweeps, of two eigensolves.
+        ("converge", "converge_circle.ini", 1474),
         # 512 steps, 513 unitarity defects and the scale's two.
         ("propagate", "propagate_circle.ini", 1027),
     ])
@@ -988,6 +1024,44 @@ class TestConvergeWork:
         assert main([command, "--config", str(path), "--out", str(out)]) == 0
         counters = json.loads((out / "run_record.json").read_text())["counters"]
         assert counters["eigensolved_mats"] == sum(solved) - sum(built)
+
+    @pytest.mark.parametrize("command, config, solves, slices", [
+        # One symmetric block a grid time; the circle's spectrum stacks no H.
+        ("spectrum", "audit_circle.ini", 257, 0),
+        # 512 step midpoints, 512 residual midpoints and H(t0) of the scale.
+        ("propagate", "propagate_circle.ini", 1027, 1025),
+        # 1,024 Yosida and 64 + 128 + 256 sweep step midpoints, and H(t0) of the scale.
+        ("converge", "converge_circle.ini", 1474, 1473),
+    ])
+    def test_every_subcommand_counts_slices_and_eigensolves(self, tmp_path, monkeypatch,
+                                                             command, config, solves, slices):
+        solved, built = self.count_solves(monkeypatch)
+        stacked = self.count_slices(monkeypatch)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(CONFIGS / config), "--out", str(out)]) == 0
+        counters = json.loads((out / "run_record.json").read_text())["counters"]
+        assert counters["eigensolved_mats"] == sum(solved) - sum(built) == solves
+        assert counters["h_slices"] == sum(stacked) == slices
+
+    @pytest.mark.parametrize("options", [
+        "method = magnus2", "method = magnus4", "method = yosida\nyosida_n = 8",
+        "method = dyson\norder = 2", "method = dyson\norder = 4\nyosida_n = 8",
+    ])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("command", ["converge", "propagate", "spectrum"])
+    def test_slice_counter_matches_the_stacks(self, tmp_path, monkeypatch, command, model,
+                                              options):
+        text = (f"[model]\n{self.MODELS[model]}\nT = 1.0\n\n[time]\nsteps = 32\n\n"
+                f"[audit]\ngrid_points = 33\n\n"
+                f"[propagator]\n{options}\nn_list = 4,8\nsteps_list = 16,32\n")
+        path = tmp_path / "config.ini"
+        path.write_text(text)
+        stacked = self.count_slices(monkeypatch)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        counters = json.loads((out / "run_record.json").read_text())["counters"]
+        assert counters["h_slices"] == sum(stacked)
+        assert sum(stacked) > 0 or (command, model) == ("spectrum", "circle")
 
 
 class TestAffinePathArtifacts:

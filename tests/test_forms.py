@@ -1,6 +1,8 @@
+import ast
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,17 @@ from formevol import (
     represent_form,
     semibound_of,
 )
-from formevol.forms import blocks, hermitian_spectral_norm, hermitize, map_blocks
+from formevol import forms
+from formevol.forms import (
+    blocks,
+    count,
+    eigh,
+    eigvalsh,
+    hermitian_spectral_norm,
+    hermitize,
+    map_blocks,
+    tallying,
+)
 from formevol.models import CircleDeltaModel, alpha_profile
 
 from helpers import random_hermitian, random_unit_vector
@@ -309,3 +321,98 @@ class TestMapBlocks:
         monkeypatch.setattr(threading.Thread, "start", start)
         caller = threading.get_ident()
         assert map_blocks(lambda p: threading.get_ident(), range(5)) == [caller] * 5
+
+
+class TestTally:
+    def test_count_outside_tallying_does_nothing(self):
+        count("steps", 3)
+        eigvalsh(np.eye(2))
+        with tallying() as counts:
+            pass
+        count("steps", 3)  # after the block: its dict stays as it was
+        assert counts == {}
+
+    def test_counts_add_or_combine(self):
+        with tallying() as counts:
+            count("steps", 3)
+            count("steps", 4)
+            count("threads", 2, max)
+            count("threads", 1, max)
+        assert counts == {"steps": 7, "threads": 2}
+
+    def test_an_inner_tally_counts_apart(self):
+        with tallying() as outer:
+            count("steps", 1)
+            with tallying() as inner:
+                count("steps", 2)
+            count("steps", 4)
+        assert (outer, inner) == ({"steps": 5}, {"steps": 2})
+
+    def test_solvers_count_every_slice_and_return_numpys_values(self):
+        A = random_hermitian(np.random.default_rng(3), 4)
+        stack = np.stack([A, 2.0 * A, -A])
+        with tallying() as counts:
+            w, Q = eigh(stack)
+            values = eigvalsh(A)
+        assert counts == {"eigensolved_mats": 4}
+        expected_w, expected_Q = np.linalg.eigh(stack)
+        assert np.array_equal(w, expected_w) and np.array_equal(Q, expected_Q)
+        assert np.array_equal(values, np.linalg.eigvalsh(A))
+
+    def test_helper_threads_count_into_the_callers_tally(self, cpus):
+        cpus(2)
+        with tallying() as counts:
+            map_blocks(lambda part: count("parts", 1) or time.sleep(0.01), range(8))
+        assert counts == {"parts": 8, "threads": 2}
+
+
+#: The LAPACK Hermitian eigensolvers that only ``forms.eigh`` and ``forms.eigvalsh`` call.
+SOLVERS = ("eigh", "eigvalsh")
+
+
+def direct_solves(path):
+    """Line numbers in ``path`` that reach a ``linalg`` Hermitian eigensolver directly,
+    by attribute or by import, outside the bodies of ``forms``' counted solvers."""
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    counted = set()
+    if Path(path).name == "forms.py":
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in SOLVERS:
+                counted.update(id(inner) for inner in ast.walk(node))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in SOLVERS:
+            direct = ast.unparse(node.value).endswith("linalg")
+        elif isinstance(node, ast.ImportFrom):
+            direct = (node.module or "").endswith("linalg") and any(
+                alias.name in SOLVERS for alias in node.names)
+        else:
+            continue
+        if direct and id(node) not in counted:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+class TestCountedSolvers:
+    """Every eigensolve in formevol goes through ``forms.eigh`` or ``forms.eigvalsh``,
+    so ``eigensolved_mats`` misses none."""
+
+    SOURCES = sorted(Path(forms.__file__).parent.glob("*.py"))
+
+    @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+    def test_no_module_calls_a_solver_directly(self, path):
+        assert direct_solves(path) == []
+
+    def test_the_scan_finds_direct_calls(self, tmp_path):
+        source = tmp_path / "module.py"
+        source.write_text("import numpy as np\nimport scipy.linalg\n"
+                          "from numpy.linalg import eigvalsh\n"
+                          "w = np.linalg.eigh(A)\nv = scipy.linalg.eigh(A)\n"
+                          "u = numpy.linalg.eigvalsh\nx = forms.eigh(A)\n")
+        assert direct_solves(source) == [3, 4, 5, 6]
+
+    def test_the_scan_sees_the_counted_solvers_call_numpy(self, tmp_path):
+        source = tmp_path / "forms.py"
+        source.write_text(Path(forms.__file__).read_text(encoding="utf-8").replace(
+            "def eigh(", "def uncounted("))
+        assert len(direct_solves(source)) == 1

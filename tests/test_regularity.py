@@ -33,6 +33,7 @@ from formevol import (
     synthetic_family,
     uniform_grid,
 )
+from formevol.forms import tallying
 from formevol.regularity import _fd_derivative, _sandwiched_stack
 
 from helpers import (
@@ -252,8 +253,8 @@ class TestCheckK2:
 def assert_k2_matches_brute_force(tdh, grid, order=1):
     """Pruned moduli equal the all-pairs reference bit for bit; returns the counters."""
     W = _sandwiched_stack(tdh, grid, order)
-    counters = {}
-    moduli = check_K2(tdh, grid, order=order, stack=W, counters=counters)
+    with tallying() as counters:
+        moduli = check_K2(tdh, grid, order=order, stack=W)
     assert moduli == brute_force_k2_moduli(W, grid)
     assert check_K2(tdh, grid, order=order) == moduli
     assert counters["k2_pairs"] == grid.size * (grid.size - 1) // 2
@@ -345,9 +346,10 @@ class TestK2BranchAndBound:
         prof = alpha_profile("trigonometric", amplitude=1.0)
         tdh = circle_delta_model(4, prof, TWO_PI)
         grid = uniform_grid(0, TWO_PI, 33)
-        report = bridge_check(tdh, grid)
+        with tallying() as counters:
+            report = bridge_check(tdh, grid)
         assert report.k2_modulus == check_K2(tdh, grid, t0=0.0)
-        assert report.counters["k2_pairs"] == 33 * 32 // 2
+        assert counters["k2_pairs"] == 33 * 32 // 2
         assert "counters" not in report.to_dict()
 
     @pytest.mark.parametrize("points", [32, 33])
@@ -510,7 +512,8 @@ class TestOnePass:
         blocks_of_32(tdh.dim)
         grid = uniform_grid(0.0, TWO_PI, points)  # three blocks
         calls = self.count_stacks(tdh)
-        report = bridge_check(tdh, grid, t0=1.0, k2_order=order)
+        with tallying() as counters:
+            bridge_check(tdh, grid, t0=1.0, k2_order=order)
 
         evaluated = Counter((float(t), o) for times, o in calls for t in times)
         used = {0, 1, order}
@@ -523,7 +526,7 @@ class TestOnePass:
             stacks += 1
         assert evaluated == expected
         assert len(calls) == stacks
-        assert report.counters["h_slices"] == sum(expected.values())
+        assert counters["h_slices"] == sum(expected.values())
 
     @pytest.mark.parametrize("points", [81, 80])
     @pytest.mark.parametrize("family", ["circle_sin", "kink", "rotating_frame"])
@@ -538,8 +541,9 @@ class TestOnePass:
                 return solver(M, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        report = bridge_check(tdh, grid, t0=t0, k2_order=order)
-        assert report.counters["eigensolved_mats"] == sum(solved)
+        with tallying() as counters:
+            bridge_check(tdh, grid, t0=t0, k2_order=order)
+        assert counters["eigensolved_mats"] == sum(solved)
 
     @pytest.mark.parametrize("family", sorted(BATCHED_FAMILIES))
     def test_pencils_and_lambda_min_match_independent_references(self, family):
@@ -686,12 +690,28 @@ class TestConcurrentBlocks:
     def test_user_code_is_called_serially(self, family, cpus, blocks_of_32):
         blocks_of_32(3)
         grid = uniform_grid(0.0, 1.0, 97)  # blocks of 32, 32, 32 and 1 times
-        reports = []
+        reports, counters = [], []
         for n in (2, 1):
             cpus(n)
-            reports.append(bridge_check(getattr(self, family)(), grid))
+            with tallying() as counts:
+                reports.append(bridge_check(getattr(self, family)(), grid))
+            counters.append(counts)
         threaded, inline = reports
-        assert (threaded.counters["threads"], inline.counters["threads"]) == (2, 1)
+        assert (counters[0]["threads"], counters[1]["threads"]) == (2, 1)
         for name, values in inline.per_t.items():
             assert np.array_equal(threaded.per_t[name], values), name
         assert threaded.to_dict() == inline.to_dict()
+
+    def test_the_thread_count_changes_no_other_count(self, cpus, blocks_of_32):
+        tdh = circle_delta_model(3, alpha_profile("trigonometric", amplitude=1.3), TWO_PI)
+        blocks_of_32(tdh.dim)
+        counters = []
+        for n in (2, 1):
+            cpus(n)
+            with tallying() as counts:
+                bridge_check(tdh, uniform_grid(0.0, TWO_PI, 80))
+            counters.append(counts)
+        threaded, inline = counters
+        assert (threaded.pop("threads"), inline.pop("threads")) == (2, 1)
+        assert threaded == inline
+        assert set(inline) == {"h_slices", "eigensolved_mats", "k2_pairs", "k2_exact_pairs"}
