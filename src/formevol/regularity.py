@@ -16,8 +16,12 @@ exist for a family ``H(t)`` with a fixed form domain:
   smoothness; the moduli are numerical evidence, reported with explicit
   thresholds, never a proof.
 
-The grid is evaluated in the blocks of :func:`forms.blocks`, bounded in
-matrix entries and in points: each block is stacked and goes through batched
+One walk over the grid, :func:`_grid_pass`, computes every per-time number
+of the three audits at once; ``bridge_check`` reads all of it, and each of
+``s1_pencil_profile``, ``check_S1``, ``s2_profile``, ``check_S2`` and
+``check_K2`` reads its own part, so each costs one full walk and all agree bit
+for bit.  The walk evaluates the grid in the blocks of :func:`forms.blocks`,
+bounded in matrix entries and in points: each block is stacked and goes through batched
 LAPACK calls and products, which treat every slice exactly as a one-point
 call would, while the block bounds the temporaries.  The blocks are independent,
 so :func:`forms.map_blocks` runs them concurrently, one thread per usable CPU
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, GridError, NotPositiveDefiniteError, NumericalError
+from .errors import GridError, NotPositiveDefiniteError, NumericalError
 from .forms import blocks, count, eigh, eigvalsh, hermitian_spectral_norm, hermitize, map_blocks
 
 #: Machine scale used by the K2 "modulus is numerically zero" test.
@@ -72,20 +76,6 @@ def audit_grid(tdh, points=DEFAULT_GRID_POINTS, refine_near=()) -> np.ndarray:
         offsets = h / 2.0 ** np.arange(1, 6)
         extra = np.add.outer(refine_near, np.concatenate([-offsets, offsets]))
         grid = np.unique(np.concatenate([grid, extra[(extra >= t0) & (extra <= t1)]]))
-    return grid
-
-
-def _check_grid(tdh, grid):
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise GridError(f"grid must be a 1-d array with >= 2 points, got shape {grid.shape}")
-    if np.any(np.diff(grid) <= 0):
-        raise GridError("grid must be strictly increasing")
-    t0, t1 = tdh.t_span
-    if grid[0] < t0 - 1e-12 or grid[-1] > t1 + 1e-12:
-        raise GridError(
-            f"grid [{grid[0]}, {grid[-1]}] exceeds the Hamiltonian span [{t0}, {t1}]"
-        )
     return grid
 
 
@@ -135,14 +125,19 @@ def _fd_derivative(tdh, times, h):
     stuck = np.flatnonzero(~inner & ~forward & (times - 2 * h < t0))
     if stuck.size:
         raise GridError(f"span too short for a finite-difference stencil at t = {times[stuck[0]]}")
-    central = _central_difference(tdh, times[inner], h)
-    edge, forward = times[~inner], forward[~inner]
-    s = np.where(forward, h, -h)
-    H0, H1, H2 = tdh.stack(edge), tdh.stack(edge + s), tdh.stack(edge + 2 * s)
-    numerator = np.where(
-        forward[:, None, None], -3.0 * H0 + 4.0 * H1 - H2, 3.0 * H0 - 4.0 * H1 + H2
-    )
-    one_sided = hermitize(numerator / (2.0 * h), rtol=np.inf)
+    # An empty set asks the family for nothing: its float64 stand-in leaves
+    # ``D``'s dtype to the other set, float64 or complex128 as hermitize makes it.
+    central = one_sided = np.empty((0, tdh.dim, tdh.dim))
+    if inner.any():
+        central = _central_difference(tdh, times[inner], h)
+    if not inner.all():
+        edge, forward = times[~inner], forward[~inner]
+        s = np.where(forward, h, -h)
+        H0, H1, H2 = tdh.stack(edge), tdh.stack(edge + s), tdh.stack(edge + 2 * s)
+        numerator = np.where(
+            forward[:, None, None], -3.0 * H0 + 4.0 * H1 - H2, 3.0 * H0 - 4.0 * H1 + H2
+        )
+        one_sided = hermitize(numerator / (2.0 * h), rtol=np.inf)
     D = np.empty((times.size, tdh.dim, tdh.dim), dtype=np.result_type(central, one_sided))
     D[inner], D[~inner] = central, one_sided
     return D
@@ -178,27 +173,64 @@ def _require_positive(lowest, times):
         raise NotPositiveDefiniteError(lowest[bad[0]], context=f"A({times[bad[0]]})")
 
 
-def _reference(tdh, t0):
-    """The reference time, default the start of the span, and the scale of ``A`` there.
-    The semibound holds on the span only, so a time outside it is refused."""
-    t_ref = tdh.t_span[0] if t0 is None else float(t0)
-    start, stop = tdh.t_span
-    if not start <= t_ref <= stop:
-        raise GridError(f"reference time t0 = {t_ref} lies outside the span [{start}, {stop}]")
-    return t_ref, tdh.scale_at(t_ref)
-
-
 def _sandwich(factor, D):
     """Hermitian part of ``factor @ D[j] @ factor`` for each slice."""
     S = factor @ D @ factor
     return 0.5 * (S + S.conj().swapaxes(-1, -2))
 
 
-def _over_blocks(tdh, grid, per_block):
-    """``per_block(times)`` on each block of ``grid``, the blocks run concurrently by
-    :func:`forms.map_blocks`, its arrays concatenated in grid order."""
-    parts = map_blocks(lambda block: per_block(grid[block]), blocks(grid.size, tdh.dim))
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+#: The per-time columns of :func:`_grid_pass`, in the order its blocks compute them.
+_COLUMNS = ("pencil_min", "pencil_max", "unit_shift_min", "unit_shift_max",
+            "s2_local", "s2_local_alt", "lowest", "W")
+
+
+def _grid_pass(tdh, grid, t0=None, k2_order=1):
+    """The one walk over the blocks of ``grid`` that every audit reads.
+
+    Checks the grid and the reference time ``t0``, default the start of the
+    span; the semibound holds on the span only, so a time outside it is
+    refused.  Each block stacks ``H`` and ``dH/dt`` once and computes, per
+    time, the extremes of the pencils against ``A(t0)`` and ``A(t0) + I``
+    (the reference form with an extra ambient-norm term), both derivative
+    bounds with ``A``'s lowest eigenvalue, and the K2 stack ``W``:
+    ``d^n H/dt^n``, ``n = k2_order``, sandwiched by ``A(t0)^{-1/2}``, which
+    reuses ``H`` or ``dH/dt`` for ``n`` 0 or 1.  Returns a dict of the checked
+    ``grid``, ``t_ref``, ``factor = A(t0)^{-1/2}`` and the :data:`_COLUMNS`,
+    each in grid order.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise GridError(f"grid must be a 1-d array with >= 2 points, got shape {grid.shape}")
+    if np.any(np.diff(grid) <= 0):
+        raise GridError("grid must be strictly increasing")
+    start, stop = tdh.t_span
+    if grid[0] < start - 1e-12 or grid[-1] > stop + 1e-12:
+        raise GridError(
+            f"grid [{grid[0]}, {grid[-1]}] exceeds the Hamiltonian span [{start}, {stop}]"
+        )
+    t_ref = start if t0 is None else float(t0)
+    if not start <= t_ref <= stop:
+        raise GridError(f"reference time t0 = {t_ref} lies outside the span [{start}, {stop}]")
+    scale = tdh.scale_at(t_ref)
+    factor, unit_shift = scale.power_matrix(-0.5), scale.power_matrix(-0.5, shift=1.0)
+    shift = (tdh.semibound.m + 1.0) * np.eye(tdh.dim)
+
+    def block(part):
+        times = grid[part]
+        H = tdh.stack(times)
+        A = H + shift
+        pencils = (*_pencil_extremes(A, factor, times), *_pencil_extremes(A, unit_shift, times))
+        Hdot = _derivative_stack(tdh, times, 1)
+        bounds = _derivative_bounds(A, Hdot, times)
+        if k2_order in (0, 1):
+            D = Hdot if k2_order else H
+        else:
+            D = _derivative_stack(tdh, times, k2_order)
+        return (*pencils, *bounds, _sandwich(factor, D))
+
+    parts = map_blocks(block, blocks(grid.size, tdh.dim))
+    columns = {name: np.concatenate(column) for name, column in zip(_COLUMNS, zip(*parts))}
+    return {"grid": grid, "t_ref": t_ref, "factor": factor, **columns}
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +249,8 @@ def _pencil_extremes(A, factor, times):
 
 def s1_pencil_profile(tdh, grid, t0=None):
     """Extremal eigenvalues of the pencil ``(A(t), A(t0))`` along the grid."""
-    grid = _check_grid(tdh, grid)
-    factor = _reference(tdh, t0)[1].power_matrix(-0.5)
-    return _over_blocks(
-        tdh, grid, lambda times: _pencil_extremes(tdh.shifted(times), factor, times))
+    audit = _grid_pass(tdh, grid, t0)
+    return audit["pencil_min"], audit["pencil_max"]
 
 
 def _s1_constant(lo, hi):
@@ -251,13 +281,8 @@ def s2_profile(tdh, grid):
     The two are equal operators up to sign, so the computed values must agree
     to :data:`S2_CONSISTENCY_TOL`; disagreement raises ``NumericalError``.
     """
-    grid = _check_grid(tdh, grid)
-
-    def bounds(times):
-        Hdot = _derivative_stack(tdh, times, 1)
-        return _derivative_bounds(tdh.shifted(times), Hdot, times)[:2]
-
-    return _over_blocks(tdh, grid, bounds)
+    audit = _grid_pass(tdh, grid)
+    return audit["s2_local"], audit["s2_local_alt"]
 
 
 def _derivative_bounds(A, Hdot, times):
@@ -290,12 +315,6 @@ def check_S2(tdh, grid) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sandwiched_stack(tdh, grid, order, t0=None):
-    factor = _reference(tdh, t0)[1].power_matrix(-0.5)
-    return _over_blocks(tdh, grid, lambda times: (
-        _sandwich(factor, _derivative_stack(tdh, times, order)),))[0]
-
-
 #: Most pairs per batched eigensolve in the K2 branch and bound: each band's
 #: walk eigensolves one pair, then doubles the batch up to this size.
 _K2_CHUNK = 32
@@ -312,11 +331,11 @@ def _frobenius_norms(rows):
     return np.sqrt(np.einsum("pk,pk->p", scaled, scaled)), exponent
 
 
-def _k2_band_maxima(W, grid, thresholds):
-    """Running maxima of ``|W_i - W_j|`` over nested separation bands.
+def _k2_moduli(W, grid):
+    """The moduli of :func:`check_K2` from ``W``, the sandwiched stack on ``grid``.
 
-    ``thresholds`` descend; entry ``b`` of the result is the maximum spectral
-    distance over grid pairs ``i < j`` with ``t_j - t_i <= thresholds[b]``, each
+    The modulus at ``delta`` is the maximum spectral distance over grid pairs
+    ``i < j`` with ``t_j - t_i <= delta`` (up to a relative 1e-12), each
     distance being ``max |eigvalsh(W_i - W_j)|`` exactly as a full scan would
     compute it.  Branch and bound: the Frobenius norm bounds the spectral norm
     from above, so a pair whose bound (with a rounding margin) cannot exceed
@@ -331,6 +350,11 @@ def _k2_band_maxima(W, grid, thresholds):
     """
     if not np.all(np.isfinite(W)):
         raise NumericalError("K2 stack has non-finite entries")
+    span = float(grid[-1] - grid[0])
+    mean_h = span / (grid.size - 1)
+    n_levels = max(1, int(math.floor(math.log2(span / (2.0 * mean_h)))) + 1)
+    deltas = [span / 2.0**j for j in range(n_levels)]
+    thresholds = np.array([delta * (1.0 + 1e-12) for delta in deltas])
     N, d = W.shape[0], W.shape[1]
     # Relative margin for the roundoff of the norms, the Gram product and the
     # eigensolver; the absolute term covers squares that underflow.
@@ -373,10 +397,10 @@ def _k2_band_maxima(W, grid, thresholds):
         maxima[b] = running
     count("k2_pairs", int(I.size))
     count("k2_exact_pairs", exact)
-    return maxima
+    return [(delta, float(omega)) for delta, omega in zip(deltas, maxima)]
 
 
-def check_K2(tdh, grid, order=1, t0=None, *, stack=None):
+def check_K2(tdh, grid, order=1, t0=None):
     """Continuity moduli ``omega(delta)`` of the ``order``-th derivative.
 
     For each dyadic separation ``delta`` (full grid span halved down to twice
@@ -391,22 +415,12 @@ def check_K2(tdh, grid, order=1, t0=None, *, stack=None):
     Frobenius norm bounds its spectral norm from above, so only pairs whose
     bound can still beat the running maximum are eigensolved.  The cost
     therefore scales with the pairs that survive pruning, not with all
-    ``N (N - 1) / 2`` of them.  ``stack`` is the sandwiched stack of the
-    derivative on ``grid`` when the caller already has it.
+    ``N (N - 1) / 2`` of them.
     """
-    grid = _check_grid(tdh, grid)
-    if grid.size < 8:
-        raise GridError(f"K2 audit needs >= 8 grid points, got {grid.size}")
-    W = _sandwiched_stack(tdh, grid, order, t0=t0) if stack is None else stack
-    if np.shape(W)[0] != grid.size:
-        raise ArgumentError(f"K2 stack has {np.shape(W)[0]} slices for {grid.size} grid points")
-    span = float(grid[-1] - grid[0])
-    mean_h = span / (grid.size - 1)
-    n_levels = max(1, int(math.floor(math.log2(span / (2.0 * mean_h)))) + 1)
-    deltas = [span / 2.0**j for j in range(n_levels)]
-    thresholds = np.array([delta * (1.0 + 1e-12) for delta in deltas])
-    maxima = _k2_band_maxima(W, grid, thresholds)
-    return [(delta, float(omega)) for delta, omega in zip(deltas, maxima)]
+    if np.size(grid) < 8:
+        raise GridError(f"K2 audit needs >= 8 grid points, got {np.size(grid)}")
+    audit = _grid_pass(tdh, grid, t0, order)
+    return _k2_moduli(audit["W"], audit["grid"])
 
 
 def k2_verdict(moduli, reference_norm, slope_min=0.9):
@@ -475,28 +489,6 @@ class AssumptionReport:
         return {**summary, "k2_modulus": [[d, w] for d, w in self.k2_modulus]}
 
 
-def _grid_pass(tdh, grid, factors, k2_order):
-    """One walk over the blocks for :func:`bridge_check`: each block stacks ``H``
-    and ``dH/dt`` once, and the K2 stack reuses one of them for ``k2_order`` 0 or 1.
-    Returns the extremes of the pencil against each factor, both derivative bounds,
-    the lowest eigenvalue of ``A`` and the K2 stack sandwiched by ``factors[0]``."""
-    shift = (tdh.semibound.m + 1.0) * np.eye(tdh.dim)
-
-    def block(times):
-        H = tdh.stack(times)
-        A = H + shift
-        pencils = [w for factor in factors for w in _pencil_extremes(A, factor, times)]
-        Hdot = _derivative_stack(tdh, times, 1)
-        bounds = _derivative_bounds(A, Hdot, times)
-        if k2_order in (0, 1):
-            D = Hdot if k2_order else H
-        else:
-            D = _derivative_stack(tdh, times, k2_order)
-        return (*pencils, *bounds, _sandwich(factors[0], D))
-
-    return _over_blocks(tdh, grid, block)
-
-
 def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9) -> AssumptionReport:
     """Run all three audits and record the implication structure.
 
@@ -508,24 +500,22 @@ def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9) -> AssumptionRep
     positive definite matrix on the full coefficient space.  The returned
     report always carries verdicts; nothing raises on a failed audit.
 
-    The grid is walked once, its blocks run concurrently by
-    :func:`forms.map_blocks`.
+    Every number comes from the one :func:`_grid_pass`, but the K2 reference
+    norm at the midpoint of the span when that is no grid time, and the
+    neighbour moduli ``k2_local``, taken from the pass's stack.
     """
-    grid = _check_grid(tdh, grid)
-    t_ref, scale = _reference(tdh, t0)
-    factor = scale.power_matrix(-0.5)
-    # The second pencil is against A(t0) + I: the reference quadratic form
-    # with an extra ambient-norm term folded in.
-    lo, hi, lo_u, hi_u, s2_direct, s2_dual, lowest, W = _grid_pass(
-        tdh, grid, (factor, scale.power_matrix(-0.5, shift=1.0)), k2_order)
-    c_norm, c_unit = _s1_constant(lo, hi), _s1_constant(lo_u, hi_u)
-    s2_bound = float(s2_direct.max())
+    audit = _grid_pass(tdh, grid, t0, k2_order)
+    grid, W = audit["grid"], audit["W"]
+    lo, hi = audit["pencil_min"], audit["pencil_max"]
+    c_norm = _s1_constant(lo, hi)
+    c_unit = _s1_constant(audit["unit_shift_min"], audit["unit_shift_max"])
+    s2_bound = float(audit["s2_local"].max())
 
-    moduli = check_K2(tdh, grid, order=k2_order, stack=W)
+    moduli = _k2_moduli(W, grid)
     mid = 0.5 * (grid[0] + grid[-1])
     k_mid = int(np.searchsorted(grid, mid))
     W_mid = W[k_mid] if grid[k_mid] == mid else _sandwich(
-        factor, _derivative_stack(tdh, np.array([mid]), k2_order))[0]
+        audit["factor"], _derivative_stack(tdh, np.array([mid]), k2_order))[0]
     ref_norms = [hermitian_spectral_norm(S) for S in (W[0], W_mid, W[-1])]
     k2_pass, k2_details = k2_verdict(moduli, max(ref_norms), slope_min=slope_min)
 
@@ -544,9 +534,10 @@ def bridge_check(tdh, grid, t0=None, k2_order=1, slope_min=0.9) -> AssumptionRep
                             blocks(grid.size - 1, tdh.dim))
     k2_local = np.concatenate([[0.0], *neighbours])
 
-    per_t = dict(lambda_min=lowest - (tdh.semibound.m + 1.0), pencil_min=lo, pencil_max=hi,
-                 s2_local=s2_direct, s2_local_alt=s2_dual, k2_local=k2_local)
+    per_t = dict(lambda_min=audit["lowest"] - (tdh.semibound.m + 1.0), pencil_min=lo,
+                 pencil_max=hi, s2_local=audit["s2_local"], s2_local_alt=audit["s2_local_alt"],
+                 k2_local=k2_local)
     return AssumptionReport(
-        t0=t_ref, k2_order=k2_order, s1_constant=c_norm,
+        t0=audit["t_ref"], k2_order=k2_order, s1_constant=c_norm,
         s1_operator_constant=c_norm**2, s1_constant_unit_shift=c_unit, s2_bound=s2_bound,
         k2_modulus=moduli, verdicts=verdicts, per_t=per_t)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from formevol import (
     AffineHamiltonian,
-    ArgumentError,
     GridError,
     NotPositiveDefiniteError,
     NumericalError,
@@ -34,7 +33,14 @@ from formevol import (
     uniform_grid,
 )
 from formevol.forms import tallying
-from formevol.regularity import _fd_derivative, _sandwiched_stack
+from formevol.regularity import (
+    S2_CONSISTENCY_TOL,
+    _derivative_bounds,
+    _fd_derivative,
+    _grid_pass,
+    _k2_moduli,
+    _sandwich,
+)
 
 from helpers import (
     block_size,
@@ -252,9 +258,9 @@ class TestCheckK2:
 
 def assert_k2_matches_brute_force(tdh, grid, order=1):
     """Pruned moduli equal the all-pairs reference bit for bit; returns the counters."""
-    W = _sandwiched_stack(tdh, grid, order)
+    W = _grid_pass(tdh, grid, k2_order=order)["W"]
     with tallying() as counters:
-        moduli = check_K2(tdh, grid, order=order, stack=W)
+        moduli = _k2_moduli(W, grid)
     assert moduli == brute_force_k2_moduli(W, grid)
     assert check_K2(tdh, grid, order=order) == moduli
     assert counters["k2_pairs"] == grid.size * (grid.size - 1) // 2
@@ -313,8 +319,8 @@ class TestK2BranchAndBound:
         prof = alpha_profile("trigonometric", amplitude=1.0)
         tdh = circle_delta_model(3, prof, TWO_PI)
         grid = uniform_grid(0, TWO_PI, 33)
-        W = factor * _sandwiched_stack(tdh, grid, 1)
-        assert check_K2(tdh, grid, stack=W) == brute_force_k2_moduli(W, grid)
+        W = factor * _grid_pass(tdh, grid)["W"]
+        assert _k2_moduli(W, grid) == brute_force_k2_moduli(W, grid)
 
     def test_rounding_margin_keeps_near_ties(self):
         # A rank-one difference has Frobenius norm equal to its spectral norm,
@@ -330,17 +336,14 @@ class TestK2BranchAndBound:
             for D in (np.outer(v, v.conj()), np.outer(v.real, v.real)):  # complex and real stacks
                 for k in (1, 2, 3, 4):
                     W = np.stack([np.zeros_like(D)] + [D * (1.0 - k * 2.0**-53)] * 6 + [D])
-                    assert check_K2(tdh, grid, stack=W) == brute_force_k2_moduli(W, grid)
+                    assert _k2_moduli(W, grid) == brute_force_k2_moduli(W, grid)
 
-    def test_stack_must_match_grid_and_be_finite(self):
-        tdh = constant_family(np.eye(2))
+    def test_stack_must_be_finite(self):
         grid = uniform_grid(0, 1.0, 9)
-        with pytest.raises(ArgumentError):
-            check_K2(tdh, grid, stack=np.zeros((8, 2, 2)))
         stack = np.zeros((9, 2, 2))
         stack[4, 0, 0] = np.nan  # would otherwise be pruned without a trace
         with pytest.raises(NumericalError):
-            check_K2(tdh, grid, stack=stack)
+            _k2_moduli(stack, grid)
 
     def test_bridge_counts_and_keeps_counters_out_of_summary(self):
         prof = alpha_profile("trigonometric", amplitude=1.0)
@@ -472,7 +475,25 @@ class TestBatchedGrid:
             assert np.array_equal(report.per_t[key], ref[key]), key
         lo_u, hi_u = ref["unit_shift_min"], ref["unit_shift_max"]
         assert report.s1_constant_unit_shift == float(np.sqrt(max(hi_u.max(), 1.0 / lo_u.min())))
-        assert np.array_equal(_sandwiched_stack(tdh, grid, order, t0=report.t0), ref["W"])
+        assert np.array_equal(_grid_pass(tdh, grid, report.t0, order)["W"], ref["W"])
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("family", sorted(BATCHED_FAMILIES))
+    def test_library_audits_are_views_of_the_bridge_report(self, family, order):
+        build, _, t0 = BATCHED_FAMILIES[family]
+        tdh = build()
+        grid = uniform_grid(*tdh.t_span, 45)
+        report = bridge_check(tdh, grid, t0=t0, k2_order=order)
+        lo, hi = s1_pencil_profile(tdh, grid, t0)
+        assert np.array_equal(lo, report.per_t["pencil_min"])
+        assert np.array_equal(hi, report.per_t["pencil_max"])
+        assert check_S1(tdh, grid, t0) == report.s1_constant
+        direct, dual = s2_profile(tdh, grid)
+        if t0 is None:  # s2_profile's reference time is the start of the span
+            assert np.array_equal(direct, report.per_t["s2_local"])
+            assert np.array_equal(dual, report.per_t["s2_local_alt"])
+            assert check_S2(tdh, grid) == report.s2_bound
+        assert check_K2(tdh, grid, order=order, t0=t0) == report.k2_modulus
 
     def test_bridge_check_memory_stays_bounded(self):
         # Grid points are processed in blocks, so temporaries do not grow with
@@ -626,6 +647,45 @@ class TestFiniteDifferenceStack:
             _fd_derivative(tdh, np.array([0.0, 0.5, 1.0, 0.3, 0.35]), 0.45)
         with pytest.raises(GridError, match=r"stencil at t = 0.3$"):
             reference_fd_derivative(tdh, 0.3, 0.45)
+
+
+class TestEmptyStacks:
+    def test_finite_differences_evaluate_only_the_slices_they_use(self):
+        # No analytic derivative: every block's first derivative takes finite
+        # differences, and most blocks have no edge times.
+        tdh = circle_delta_model(
+            2, alpha_profile("table", times=[0.0, 1.0, 2.5, TWO_PI], values=[0.0, 1.5, -0.5, 0.3]),
+            TWO_PI)
+        assert not tdh.has_derivative
+        evaluated = []
+
+        def wrapped(fn):
+            return lambda times: (evaluated.append(len(times)), fn(times))[1]
+
+        tdh._stacks = tuple(None if fn is None else wrapped(fn) for fn in tdh._stacks)
+        with tallying() as counters:
+            bridge_check(tdh, uniform_grid(0.0, TWO_PI, 257))
+        assert sum(evaluated) == counters["h_slices"]
+
+
+class TestDerivativeBoundsConsistency:
+    def test_ill_conditioned_slice_passes_the_norm_check(self):
+        # cond(A) = 1e13.  The two S2 norms agree to the tolerance, while the
+        # operators S+ and S- = -S+ differ in Frobenius norm by far more: a
+        # check of |S+ + S-|_F would refuse a slice that is computed well.
+        rng = np.random.default_rng(0)
+        Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        A = (Q * np.geomspace(1.0, 1e13, 5)) @ Q.T
+        A = 0.5 * (A + A.T)
+        B = rng.standard_normal((5, 5))
+        Hdot = 0.5 * (B + B.T)
+        direct, dual, _ = _derivative_bounds(A[None], Hdot[None], np.array([0.0]))
+        assert abs(direct[0] - dual[0]) <= S2_CONSISTENCY_TOL * max(1.0, direct[0])
+        w, V = np.linalg.eigh(A)
+        inv = (V / w) @ V.T
+        S_plus = _sandwich((V / np.sqrt(w)) @ V.T, Hdot)
+        S_minus = _sandwich((V * np.sqrt(w)) @ V.T, -inv @ Hdot @ inv)
+        assert np.linalg.norm(S_plus + S_minus) > 1e4 * S2_CONSISTENCY_TOL * max(1.0, direct[0])
 
 
 class TestErrorPaths:
