@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: ``audit``, ``propagate``, ``converge``, ``spectrum``.  Each
-takes ``--config PATH`` and ``--out DIR``; ``--grid-refine k`` (``k >= 0``)
-multiplies audit/trajectory grids by ``2**k`` where applicable.
+takes ``--config PATH`` and ``--out DIR`` and nothing else: the config alone
+sizes a run, so the ``effective_config.ini`` written next to it describes it.
 
 Exit codes: 0 success, 1 configuration or argument error, 2 numerical
 failure, 3 I/O failure.
@@ -33,13 +33,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _refinement(text):
-    """``--grid-refine``: a decimal integer >= 0."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
-
-
 def _build_parser():
     parser = _Parser(
         prog="formevol",
@@ -49,23 +42,15 @@ def _build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, refinable in (
-        ("audit", "run the comparability/derivative/smoothness audits", True),
-        ("propagate", "propagate the configured initial state", True),
-        ("converge", "regularization and step-count convergence sweeps", False),
-        ("spectrum", "eigenvalue scan over the time span", True),
+    for name, help_text in (
+        ("audit", "run the comparability/derivative/smoothness audits"),
+        ("propagate", "propagate the configured initial state"),
+        ("converge", "regularization and step-count convergence sweeps"),
+        ("spectrum", "eigenvalue scan over the time span"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="configuration file path")
         cmd.add_argument("--out", required=True, help="output directory")
-        if refinable:
-            cmd.add_argument(
-                "--grid-refine",
-                type=_refinement,
-                default=0,
-                metavar="K",
-                help="multiply grids by 2**K",
-            )
     return parser
 
 
@@ -87,7 +72,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "audit":
-            report, record = run_audit(cfg, args.out, grid_refine=args.grid_refine)
+            report, record = run_audit(cfg, args.out)
             verdicts = ", ".join(
                 f"{k}={'pass' if v['pass'] else 'fail'}"
                 for k, v in report.verdicts.items()
@@ -95,7 +80,7 @@ def main(argv=None) -> int:
             print(f"audit done: C={report.s1_constant:.6g} "
                   f"S2={report.s2_bound:.6g} [{verdicts}]")
         elif args.command == "propagate":
-            report, record = run_propagation(cfg, args.out, grid_refine=args.grid_refine)
+            report, record = run_propagation(cfg, args.out)
             print(
                 f"propagation done: norm drift {report.norm_drift:.3e}, "
                 f"weak residual {report.weak_residual:.3e}"
@@ -104,7 +89,7 @@ def main(argv=None) -> int:
             record = run_convergence(cfg, args.out)
             print("convergence sweep done")
         else:
-            record = run_spectrum(cfg, args.out, grid_refine=args.grid_refine)
+            record = run_spectrum(cfg, args.out)
             print("spectrum scan done")
     except (ArgumentError, GridError, NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

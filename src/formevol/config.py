@@ -213,6 +213,9 @@ class ExperimentConfig:
 def _cross_validate(sections, errors):
     model = dict(sections["model"].values)
     tim = dict(sections["time"].values)
+    # A blank stop is model.T, where the propagation then ends.
+    if tim["stop"] is None and not model["T"] > tim["start"]:
+        errors.append("time.start must be below model.T when time.stop is blank")
     if tim["stop"] is not None and not tim["stop"] > tim["start"]:
         errors.append("time.stop must exceed time.start")
     if tim["start"] < 0.0:

@@ -168,13 +168,6 @@ def initial_state(cfg: ExperimentConfig, tdh) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def _refinement(grid_refine):
-    """``2**grid_refine``, the factor ``--grid-refine`` refines a grid by."""
-    if grid_refine < 0 or int(grid_refine) != grid_refine:
-        raise ArgumentError(f"grid_refine must be an integer >= 0, got {grid_refine!r}")
-    return 2**grid_refine
-
-
 def _span(cfg: ExperimentConfig):
     start = cfg.time.start
     stop = cfg.time.stop if cfg.time.stop is not None else cfg.model.T
@@ -234,13 +227,12 @@ def _rayleigh_max_ratio(A, samples):
     return max(float(np.max(np.maximum(qt / q[0], q[0] / qt))) for qt in q[1:])
 
 
-def run_audit(cfg: ExperimentConfig, outdir, grid_refine=0):
+def run_audit(cfg: ExperimentConfig, outdir):
     """Assumption audits on a uniform grid; writes audit.csv + summary JSON."""
     t_start = _time.perf_counter()
     audit = cfg.audit
-    points = (audit.grid_points - 1) * _refinement(grid_refine) + 1
     tdh = build_model(cfg)
-    grid = uniform_grid(0.0, cfg.model.T, points)
+    grid = uniform_grid(0.0, cfg.model.T, audit.grid_points)
     with tallying() as counts:
         report = bridge_check(
             tdh, grid, t0=audit.t0, k2_order=audit.k2_order, slope_min=audit.k2_slope_min)
@@ -264,11 +256,11 @@ def run_audit(cfg: ExperimentConfig, outdir, grid_refine=0):
     return report, _finish(cfg, outdir, artifacts, series, t_start, tdh, counts)
 
 
-def run_propagation(cfg: ExperimentConfig, outdir, grid_refine=0):
+def run_propagation(cfg: ExperimentConfig, outdir):
     """Propagate the configured initial state; writes trajectory + residuals."""
     t_start = _time.perf_counter()
     prop = cfg.propagator
-    steps, inner = cfg.time.steps * _refinement(grid_refine), prop.substeps
+    steps, inner = cfg.time.steps, prop.substeps
     tdh = build_model(cfg)
     psi0 = initial_state(cfg, tdh)
     s, t = _span(cfg)
@@ -338,12 +330,11 @@ def run_convergence(cfg: ExperimentConfig, outdir):
     return _finish(cfg, outdir, artifacts, series, t_start, tdh, counts)
 
 
-def run_spectrum(cfg: ExperimentConfig, outdir, grid_refine=0):
+def run_spectrum(cfg: ExperimentConfig, outdir):
     """Eigenvalue scan over time; long-format CSV (t, index, eigenvalue)."""
     t_start = _time.perf_counter()
-    points = (cfg.audit.grid_points - 1) * _refinement(grid_refine) + 1
     tdh = build_model(cfg)
-    grid = uniform_grid(0.0, cfg.model.T, points)
+    grid = uniform_grid(0.0, cfg.model.T, cfg.audit.grid_points)
     with tallying() as counts:
         evals = spectrum(tdh, grid)
     levels = evals.shape[1]

@@ -386,6 +386,24 @@ def reference_table(tdh, s, t, substeps, scheme="magnus2"):
     return times, U, reference_unitarity_defects(U)
 
 
+def reference_axioms(table, from_r=None):
+    """``(composition defect, max step increment)`` of ``propagator_axioms``, one
+    table time and one basis vector at a time."""
+    defect = 0.0
+    if from_r is not None:
+        U_sr = from_r.at(table.s)
+        for j, tj in enumerate(table.times):
+            D = table.matrices[j] @ U_sr - from_r.at(tj)
+            defect = max(defect, float(np.linalg.norm(D, 2)))
+    increments = np.diff(table.matrices, axis=0)
+    max_inc = 0.0
+    for psi in np.eye(table.dim, dtype=complex)[:3]:
+        vals = np.linalg.norm(np.einsum("jab,b->ja", increments, psi), axis=1)
+        if vals.size:
+            max_inc = max(max_inc, float(vals.max()))
+    return defect, max_inc
+
+
 def reference_simplex_term(evals, weight, p):
     """Sum of time-ordered products over nondecreasing node tuples, one tuple at a time.
 

@@ -181,6 +181,12 @@ class TestConfigRules:
     @pytest.mark.parametrize("text, message", [
         ("[time]\nstart = 1.0\nstop = 1.0\n", "time.stop must exceed time.start"),
         ("[time]\nstart = -0.5\n", "time.start must be >= 0"),
+        # A blank stop ends the span at model.T: these propagated from t = 3
+        # back to t = 1, and over an empty span with a nan weak residual.
+        ("[model]\nT = 1.0\n[time]\nstart = 3.0\nsteps = 8\n",
+         "time.start must be below model.T when time.stop is blank"),
+        ("[model]\nT = 1.0\n[time]\nstart = 1.0\nsteps = 8\n",
+         "time.start must be below model.T when time.stop is blank"),
         ("[model]\nT = 1.0\n[time]\nstop = 1.5\n", "time.stop cannot exceed model.T"),
         ("[model]\nT = 1.0\n[audit]\nt0 = 1.5\n", "audit.t0 must lie in [0, model.T]"),
         ("[audit]\nt0 = -0.1\n", "audit.t0 must lie in [0, model.T]"),
@@ -216,6 +222,7 @@ class TestConfigRules:
 
     @pytest.mark.parametrize("text", [
         "[time]\nstart = 1.0\nstop = 2.0\n",
+        "[model]\nT = 1.0\n[time]\nstart = 0.5\n",
         "[model]\nT = 1.0\n[time]\nstop = 1.0\n[audit]\nt0 = 1.0\n",
         "[model]\nalpha = table\nalpha_times = 0,1\nalpha_values = 1,1\n",
         "[model]\nK = 1\n[initial]\nmode = -1\n",
@@ -241,6 +248,9 @@ class TestConfigRules:
         ("propagate", "[model]\nK = 1\n[time]\nsteps = 1\n", "time.steps must be >= 2"),
         ("audit", "[model]\nK = 1\nalpha = polynomial\nalpha_coeffs =\n[audit]\ngrid_points = 17\n",
          "model.alpha_coeffs needs at least one entry"),
+        *[(command, "[model]\nK = 1\nT = 1.0\n[time]\nstart = 3.0\nsteps = 8\n",
+           "time.start must be below model.T when time.stop is blank")
+          for command in ("propagate", "converge")],
         *[(command, "[model]\nK = 1\n[audit]\ngrid_points = 17\n[initial]\nmode = 5\n",
            "initial.mode must satisfy |mode| <= K = 1")
           for command in ("audit", "spectrum", "propagate", "converge")],
@@ -470,14 +480,6 @@ mode = 0
         assert len(studies) == 1  # the Yosida sweep completed before the failure
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("runner", [run_audit, run_propagation, run_spectrum])
-    @pytest.mark.parametrize("grid_refine", [-1, 0.5])
-    def test_grid_refine_must_be_a_count(self, tmp_path, runner, grid_refine):
-        # Unchecked, 2**-1 halved the grid and 2**0.5 gave a fractional point count.
-        with pytest.raises(ArgumentError, match="grid_refine"):
-            runner(parse_config(MINIMAL), str(tmp_path / "out"), grid_refine=grid_refine)
-        assert not (tmp_path / "out").exists()
-
 
 def read_columns(path):
     """``{header: [cell, ...]}`` of a CSV artifact, cells as text."""
@@ -667,28 +669,27 @@ class TestCli:
             == 3
         )
 
-    def test_grid_refine_multiplies_grid(self, tmp_path):
+    def test_refined_config_sizes_the_grid(self, tmp_path):
+        # 17 points refined once: (17 - 1) * 2 + 1.
         cfg = self._write(
             tmp_path,
             "[model]\nkind = circle_delta\nK = 1\nalpha = sin\nT = 6.283185307179586\n"
-            "\n[audit]\ngrid_points = 17\n",
+            "\n[audit]\ngrid_points = 33\n",
         )
         out = tmp_path / "out"
-        assert main(["audit", "--config", cfg, "--out", str(out), "--grid-refine", "1"]) == 0
+        assert main(["audit", "--config", cfg, "--out", str(out)]) == 0
         rows = (out / "audit.csv").read_text().strip().splitlines()
         assert len(rows) - 1 == 33
 
     @pytest.mark.parametrize("command", ["audit", "spectrum", "propagate"])
     @pytest.mark.parametrize("mistake, flag", [
-        (["--out", "OUT", "--grid-refine", "-9"], "argument --grid-refine"),
-        (["--out", "OUT", "--grid-refine", "-1"], "argument --grid-refine"),
-        (["--out", "OUT", "--grid-refine", "x"], "argument --grid-refine"),
+        (["--out", "OUT", "--grid-refine", "1"], "unrecognized arguments: --grid-refine 1"),
         ([], "required: --out"),
-    ], ids=["refine-9", "refine-1", "refine-x", "no-out"])
+    ], ids=["stale-refine", "no-out"])
     def test_argument_mistakes_exit_1_naming_the_flag(self, tmp_path, capsys, command,
                                                       mistake, flag):
-        # argparse's own code is 2, formevol's numerical failure; a negative
-        # refinement used to run on a fractional grid.
+        # argparse's own code is 2, formevol's numerical failure.  The config alone
+        # sizes a run: the removed --grid-refine fails instead of running.
         cfg = self._write(tmp_path, "[model]\nK = 1\n[audit]\ngrid_points = 17\n")
         out = tmp_path / "out"
         argv = [command, "--config", cfg, *(str(out) if a == "OUT" else a for a in mistake)]
@@ -841,10 +842,13 @@ mode = 0
     @pytest.mark.parametrize("refine, points, slices", [(0, 257, 549), (1, 513, 1061)])
     def test_run_record_counts_the_audit_pass(self, tmp_path, monkeypatch, refine, points,
                                               slices):
+        # configs/audit_circle.ini with its 257 points refined ``refine`` times.
+        assert points == 256 * 2**refine + 1
+        text = (CONFIGS / "audit_circle.ini").read_text()
+        cfg = self._write(tmp_path, text.replace("grid_points = 257", f"grid_points = {points}"))
         stacked = TestConvergeWork.count_slices(monkeypatch)
         out = tmp_path / "out"
-        args = ["audit", "--config", str(CONFIGS / "audit_circle.ini"), "--out", str(out)]
-        assert main(args + ["--grid-refine", str(refine)]) == 0
+        assert main(["audit", "--config", cfg, "--out", str(out)]) == 0
         counters = json.loads((out / "run_record.json").read_text())["counters"]
         # H(t0), then H and dH/dt once at each grid time (the midpoint is one), and the
         # Rayleigh check's A(t0) and 33 grid times.

@@ -8,6 +8,7 @@ import scipy.linalg as sla
 
 from formevol import (
     ArgumentError,
+    GridError,
     NumericalError,
     Semibound,
     TimeDependentHamiltonian,
@@ -31,6 +32,7 @@ from formevol.propagators import YosidaStudy, _ordered_degrees, _spectral_exp, _
 
 from helpers import (
     block_size,
+    reference_axioms,
     random_hermitian,
     random_unit_vector,
     reference_dyson_table,
@@ -468,8 +470,6 @@ class TestWeakResidual:
     def test_needs_three_points(self):
         tdh = constant_family(np.eye(2))
         traj = propagate(tdh, np.array([1.0, 0.0]), 0.0, 1.0, substeps=1)
-        from formevol import GridError
-
         with pytest.raises(GridError):
             weak_residual(tdh, traj, np.eye(2, dtype=complex))
 
@@ -497,6 +497,35 @@ class TestAxioms:
             defects.append(propagator_axioms(inner, from_r=outer).composition_defect)
         slope = -np.polyfit(np.log([16, 32, 64]), np.log(defects), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.5)
+
+    @pytest.mark.parametrize("tdh", [
+        circle_delta_model(4, alpha_profile("trigonometric", amplitude=2.0), 1.0),
+        circle_delta_model(16, alpha_profile("trigonometric", amplitude=1.0), 1.0),
+        synthetic_family("rotating_frame", 5, 1.0, {"seed": 3}),
+        circle_delta_model(1, alpha_profile("kink", center=0.5, amplitude=1.0, offset=0.0), 1.0),
+    ], ids=["circle-K4", "circle-K16", "rotating-frame", "kink-K1"])
+    def test_batched_axioms_match_the_per_time_loop(self, tdh):
+        outer = reference_propagator(tdh, 0.0, 1.0, 64)
+        inner = reference_propagator(tdh, 0.25, 1.0, 48)
+        for args in ((inner, outer), (outer,)):
+            report = propagator_axioms(*args)
+            assert (report.composition_defect, report.max_step_increment) == \
+                reference_axioms(*args)
+
+    def test_composing_tables_of_different_dimensions_is_refused(self):
+        prof = alpha_profile("trigonometric", amplitude=1.0)
+        outer = reference_propagator(circle_delta_model(2, prof, 1.0), 0.0, 1.0, 8)
+        inner = reference_propagator(circle_delta_model(1, prof, 1.0), 0.5, 1.0, 4)
+        with pytest.raises(GridError, match="tables have different dimensions"):
+            propagator_axioms(inner, from_r=outer)
+
+    def test_an_inner_time_off_the_outer_grid_is_named(self):
+        tdh = circle_delta_model(1, alpha_profile("trigonometric", amplitude=1.0), 1.0)
+        outer = reference_propagator(tdh, 0.0, 1.0, 8)
+        inner = reference_propagator(tdh, 0.5, 1.0, 8)  # steps of 1/16; the outer's are 1/8
+        with pytest.raises(GridError, match="time 0.5625 of the composed table is missing "
+                                            "from the outer grid"):
+            propagator_axioms(inner, from_r=outer)
 
     def test_step_increments_shrink_under_refinement(self):
         prof = alpha_profile("trigonometric", amplitude=1.0)
