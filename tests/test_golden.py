@@ -1,15 +1,15 @@
 """Golden artifact digests: the four subcommands keep every data artifact's bytes.
 
 ``tests/golden`` holds the configs: copies of the three shipped ones, the
-four benchmark workloads at seed 7, and two small ones
-for the paths the others miss (a complex ``rotating_frame`` family audited
-with ``k2_order = 2``; a ``table``-profile circle, whose derivative comes from
-finite differences, audited with ``k2_order = 0``).  ``digests.json`` holds,
-for each config and each subcommand it runs (all four, but ``propagate`` only
-for the K = 64 workload, whose other three take ~3 s), the sha256 of every data artifact (every
-file but ``run_record.json``), the header and row count of each CSV, and the
-``counters`` (but ``threads``, which follows the usable CPUs) and
-``arithmetic`` of ``run_record.json``.
+four benchmark workloads at seed 7, and two small ones for the paths the
+others miss (a complex ``rotating_frame`` family audited with ``k2_order =
+2``; a ``table``-profile circle, whose derivative comes from finite
+differences, audited with ``k2_order = 0``).  ``digests.json`` holds, for
+each config and each subcommand it runs (all four, but ``propagate`` only for
+the K = 64 workload, whose other three take ~3 s), the sha256 of every data
+artifact (every file but ``run_record.json``), the header and row count of
+each CSV, and the ``counters`` (but ``threads``, which follows the usable
+CPUs) and ``arithmetic`` of ``run_record.json``.
 
 Floating-point results depend on numpy and on the OpenBLAS build and core it
 runs, so ``digests.json`` records the ones it was made with.  Where they
